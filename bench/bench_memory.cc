@@ -1,12 +1,15 @@
 // Memory-footprint benchmark for the SoA cluster core (BENCH_memory.json):
 // resident bytes per machine at 1M machines, resident bytes per job slot at
 // 10M reserved slots, and — the arena contract — the number of heap
-// allocations performed by job creation after Reserve (must be zero for
-// specs without candidate-pool lists).
+// allocations performed after Reserve by job creation (must be zero for
+// specs without candidate-pool lists) and by a pool's wait queue (must be
+// zero: it is threaded through the arena's link columns).
 //
-// Run it on a quiet host and read three lines: machines, jobs, totals. The
-// global operator new override counts allocations only while g_count is set,
-// so the counters isolate the Create loop from everything around it.
+// Run it on a quiet host and read four lines: wait_queue, machines, jobs,
+// totals. The wait-queue phase runs first and needs little memory; the
+// others need ~2.4 GB. The global operator new override counts allocations
+// only while g_count is set, so the counters isolate the measured loops
+// from everything around them.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -16,6 +19,7 @@
 #include "cluster/job_table.h"
 #include "cluster/machine.h"
 #include "cluster/pool.h"
+#include "common/check.h"
 #include "common/time.h"
 
 static unsigned long long g_allocs = 0;
@@ -47,7 +51,64 @@ static long RssBytes() {
 using namespace netbatch;
 using namespace netbatch::cluster;
 
+// N enqueue/remove cycles over one saturated pool after Reserve: every
+// submit waits (two priority classes, every core count a machine has), and
+// the oldest waiter leaves the queue the way wait-timeout rescheduling
+// takes it. Returns the allocations the cycles performed.
+static unsigned long long WaitQueueAllocations(std::size_t cycles) {
+  constexpr std::size_t kMachines = 4;
+  constexpr std::int32_t kCores = 8;
+  constexpr std::size_t kWindow = 1000;  // jobs waiting at once
+  JobTable jobs;
+  jobs.Reserve(cycles + kMachines);
+  MachineArena machines(PoolId(0), jobs);
+  for (std::size_t m = 0; m < kMachines; ++m) machines.Add(kCores, 32768, 1.0);
+  PhysicalPool pool(PoolId(0), std::move(machines), jobs, true);
+  // High-priority work fills every core, so nothing later starts or
+  // preempts.
+  for (std::size_t m = 0; m < kMachines; ++m) {
+    workload::JobSpec spec;
+    spec.id = JobId(static_cast<JobId::ValueType>(cycles + m));
+    spec.cores = kCores;
+    spec.runtime = 1000;
+    spec.priority = workload::kHighPriority;
+    Job job = jobs.Create(std::move(spec));
+    job.OnSubmitted(0);
+    pool.TryPlace(job, 0);
+  }
+  g_allocs = 0;
+  g_count = true;
+  for (std::size_t j = 0; j < cycles; ++j) {
+    const auto now = static_cast<Ticks>(j);
+    workload::JobSpec spec;
+    spec.id = JobId(static_cast<JobId::ValueType>(j));
+    spec.cores = static_cast<std::int32_t>(1 + j % kCores);
+    spec.memory_mb = 1024;
+    spec.runtime = 1000;
+    spec.priority =
+        j % 2 == 0 ? workload::kLowPriority : workload::kHighPriority;
+    Job job = jobs.Create(std::move(spec));
+    job.OnSubmitted(now);
+    pool.TryPlace(job, now);
+    if (j >= kWindow) {
+      Job oldest = jobs.at(JobId(static_cast<JobId::ValueType>(j - kWindow)));
+      pool.RemoveFromQueue(oldest.id());
+      oldest.OnRestart(now, PoolId(0));
+    }
+  }
+  g_count = false;
+  NETBATCH_CHECK(pool.QueueLength() == kWindow, "probe jobs failed to queue");
+  pool.CheckInvariants();
+  return g_allocs;
+}
+
 int main() {
+  constexpr std::size_t kWaitCycles = 1'000'000;
+  const unsigned long long wait_allocs = WaitQueueAllocations(kWaitCycles);
+  std::printf("wait_queue: cycles=%zu, allocs_after_reserve=%llu\n",
+              kWaitCycles, wait_allocs);
+  std::fflush(stdout);
+
   const long rss0 = RssBytes();
 
   // --- 1M machines in pools of 40k (the paper's pool scale) ---------------
@@ -74,6 +135,8 @@ int main() {
   constexpr std::size_t kJobs = 10'000'000;
   JobTable jobs;
   jobs.Reserve(kJobs);
+  g_allocs = 0;
+  g_alloc_bytes = 0;
   g_count = true;
   for (std::size_t j = 0; j < kJobs; ++j) {
     workload::JobSpec spec;

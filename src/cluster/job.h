@@ -19,8 +19,9 @@
 // The arena also owns the id index (dense vector for small ids, hash map
 // for sparse ids past the dense cap), the guarded reclamation free-list
 // shared by both id ranges, and the intrusive next/prev links that thread
-// each machine's running/suspended registries through job slots — so after
-// Reserve() there is no per-job or per-membership allocation at all.
+// each machine's running/suspended registries and each pool's wait queue
+// through job slots — so after Reserve() there is no per-job or
+// per-membership allocation at all.
 #pragma once
 
 #include <cmath>
@@ -49,8 +50,7 @@ enum class JobState {
 const char* ToString(JobState state);
 
 class JobArena;
-class MachineArena;
-class MachineJobList;
+class JobList;
 
 class Job {
  public:
@@ -339,11 +339,74 @@ class JobArena {
     return const_iterator(this, static_cast<std::uint32_t>(spec_.size()));
   }
 
+  // --- intrusive lists ------------------------------------------------------
+  // Every job sits on at most one list at a time — a machine's running or
+  // suspended registry, or a pool's wait queue — threaded through the link
+  // columns. The list's owner keeps only its head/tail slots (and any
+  // count it wants); the arena does the surgery. Appends go to the tail and
+  // unlinks keep the remaining order, so a list walks in arrival order.
+  // `link_list_` tags which kind of list a slot is on.
+  static constexpr std::uint8_t kNoList = 0;
+  static constexpr std::uint8_t kRunningList = 1;
+  static constexpr std::uint8_t kSuspendedList = 2;
+  static constexpr std::uint8_t kWaitingList = 3;
+
+  // Whether `slot` is on a `list`-kind list headed by `head`. A mid-list
+  // slot is only reachable from the head that owns it, so this is the cheap
+  // whole-list membership guard; callers that own several lists of one
+  // kind confirm the owner from the job's own columns.
+  bool OnList(std::uint32_t slot, std::uint8_t list,
+              std::uint32_t head) const {
+    return link_list_[slot] == list &&
+           (link_prev_[slot] != kNoSlot || head == slot);
+  }
+
+  void LinkTail(std::uint32_t slot, std::uint8_t list, std::uint32_t& head,
+                std::uint32_t& tail) {
+    NETBATCH_CHECK(link_list_[slot] == kNoList,
+                   "job already on an intrusive list");
+    link_prev_[slot] = tail;
+    link_next_[slot] = kNoSlot;
+    link_list_[slot] = list;
+    if (tail == kNoSlot) {
+      head = slot;
+    } else {
+      link_next_[tail] = slot;
+    }
+    tail = slot;
+  }
+
+  // Callers check membership (OnList) first.
+  void Unlink(std::uint32_t slot, std::uint32_t& head, std::uint32_t& tail) {
+    const std::uint32_t prev = link_prev_[slot];
+    const std::uint32_t next = link_next_[slot];
+    if (prev == kNoSlot) {
+      head = next;
+    } else {
+      link_next_[prev] = next;
+    }
+    if (next == kNoSlot) {
+      tail = prev;
+    } else {
+      link_prev_[next] = prev;
+    }
+    link_next_[slot] = kNoSlot;
+    link_prev_[slot] = kNoSlot;
+    link_list_[slot] = kNoList;
+  }
+
+  std::uint32_t NextOnList(std::uint32_t slot) const {
+    return link_next_[slot];
+  }
+  std::uint32_t PrevOnList(std::uint32_t slot) const {
+    return link_prev_[slot];
+  }
+
   // --- checkpoint/restore (service layer) -----------------------------------
   // Column image of one job: everything AppendSlot initializes except the
   // spec (carried separately), the pending simulator event (the daemon uses
-  // timers, not the event heap) and the intrusive machine-list links (the
-  // pool restore rebuilds those via AddRunning/AddSuspended).
+  // timers, not the event heap) and the intrusive list links (the pool
+  // restore rebuilds those).
   struct RestoreImage {
     JobState state = JobState::kPending;
     PoolId pool;
@@ -446,18 +509,12 @@ class JobArena {
 
  private:
   friend class Job;
-  friend class MachineArena;
-  friend class MachineJobList;
+  friend class JobList;
 
   // Ids below this resolve through the dense vector (worst case 64 MiB of
   // index, covering a Reserve(10M) run with room to spare); anything above
   // falls back to the hash map.
   static constexpr JobId::ValueType kDenseCap = 1u << 24;
-
-  // Which machine registry a slot's intrusive link is threaded on.
-  static constexpr std::uint8_t kNoList = 0;
-  static constexpr std::uint8_t kRunningList = 1;
-  static constexpr std::uint8_t kSuspendedList = 2;
 
   template <typename T>
   static std::size_t ColumnBytes(const std::vector<T>& column) {
@@ -576,8 +633,7 @@ class JobArena {
   std::vector<Ticks> extra_waste_ticks_;
   std::vector<std::uint64_t> generation_;
   std::vector<sim::EventSeq> pending_event_;
-  // Intrusive links for the machine running/suspended registries
-  // (maintained by MachineArena; see machine.h).
+  // Intrusive list links (see the list API above).
   std::vector<std::uint32_t> link_next_;
   std::vector<std::uint32_t> link_prev_;
   std::vector<std::uint8_t> link_list_;
@@ -587,6 +643,49 @@ class JobArena {
   bool reclaim_enabled_ = false;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t reclaimed_count_ = 0;
+};
+
+// Read-only range over one intrusive list, yielding JobIds head to tail.
+class JobList {
+ public:
+  JobList(const JobArena* jobs, std::uint32_t head, std::size_t count)
+      : jobs_(jobs), head_(head), count_(count) {}
+
+  class const_iterator {
+   public:
+    const_iterator(const JobArena* jobs, std::uint32_t slot)
+        : jobs_(jobs), slot_(slot) {}
+    JobId operator*() const { return jobs_->spec_[slot_].id; }
+    const_iterator& operator++() {
+      slot_ = jobs_->link_next_[slot_];
+      return *this;
+    }
+    bool operator==(const const_iterator& other) const {
+      return slot_ == other.slot_;
+    }
+    bool operator!=(const const_iterator& other) const {
+      return slot_ != other.slot_;
+    }
+
+   private:
+    const JobArena* jobs_;
+    std::uint32_t slot_;
+  };
+  const_iterator begin() const { return const_iterator(jobs_, head_); }
+  const_iterator end() const {
+    return const_iterator(jobs_, JobArena::kNoSlot);
+  }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  JobId front() const {
+    NETBATCH_CHECK(head_ != JobArena::kNoSlot, "front() of empty registry");
+    return jobs_->spec_[head_].id;
+  }
+
+ private:
+  const JobArena* jobs_;
+  std::uint32_t head_;
+  std::size_t count_;
 };
 
 // --- Job view accessors (one indexed column load each) ----------------------

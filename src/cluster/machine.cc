@@ -26,54 +26,29 @@ MachineId MachineArena::Add(std::int32_t cores, std::int64_t memory_mb,
 
 void MachineArena::LinkJob(std::uint32_t machine, JobId job, bool running) {
   JobArena& jobs = *jobs_;
-  const std::uint32_t slot = jobs.SlotOf(job);
-  NETBATCH_CHECK(jobs.link_list_[slot] == JobArena::kNoList,
-                 "job already registered on a machine");
-  std::uint32_t& head = running ? run_head_[machine] : susp_head_[machine];
-  std::uint32_t& tail = running ? run_tail_[machine] : susp_tail_[machine];
-  // Append at the tail — same arrival order the per-machine vectors kept.
-  jobs.link_prev_[slot] = tail;
-  jobs.link_next_[slot] = JobArena::kNoSlot;
-  jobs.link_list_[slot] =
-      running ? JobArena::kRunningList : JobArena::kSuspendedList;
-  if (tail == JobArena::kNoSlot) {
-    head = slot;
+  const std::uint32_t slot = jobs.at(job).slot();
+  if (running) {
+    jobs.LinkTail(slot, JobArena::kRunningList, run_head_[machine],
+                  run_tail_[machine]);
+    ++run_count_[machine];
   } else {
-    jobs.link_next_[tail] = slot;
+    jobs.LinkTail(slot, JobArena::kSuspendedList, susp_head_[machine],
+                  susp_tail_[machine]);
+    ++susp_count_[machine];
   }
-  tail = slot;
-  ++(running ? run_count_ : susp_count_)[machine];
 }
 
 void MachineArena::UnlinkJob(std::uint32_t machine, JobId job, bool running) {
   JobArena& jobs = *jobs_;
-  const std::uint32_t slot = jobs.SlotOf(job);
+  const std::uint32_t slot = jobs.at(job).slot();
   std::uint32_t& head = running ? run_head_[machine] : susp_head_[machine];
   std::uint32_t& tail = running ? run_tail_[machine] : susp_tail_[machine];
-  const std::uint8_t expected =
-      running ? JobArena::kRunningList : JobArena::kSuspendedList;
-  // On the right kind of list, and — when it claims to be a head — the head
-  // of THIS machine's list. (A mid-list slot is only reachable from the head
-  // that owns it, so this is the cheap whole-list membership guard.)
   NETBATCH_CHECK(
-      jobs.link_list_[slot] == expected &&
-          (jobs.link_prev_[slot] != JobArena::kNoSlot || head == slot),
+      jobs.OnList(slot,
+                  running ? JobArena::kRunningList : JobArena::kSuspendedList,
+                  head),
       "job not registered on machine");
-  const std::uint32_t prev = jobs.link_prev_[slot];
-  const std::uint32_t next = jobs.link_next_[slot];
-  if (prev == JobArena::kNoSlot) {
-    head = next;
-  } else {
-    jobs.link_next_[prev] = next;
-  }
-  if (next == JobArena::kNoSlot) {
-    tail = prev;
-  } else {
-    jobs.link_prev_[next] = prev;
-  }
-  jobs.link_next_[slot] = JobArena::kNoSlot;
-  jobs.link_prev_[slot] = JobArena::kNoSlot;
-  jobs.link_list_[slot] = JobArena::kNoList;
+  jobs.Unlink(slot, head, tail);
   --(running ? run_count_ : susp_count_)[machine];
 }
 

@@ -29,50 +29,6 @@ namespace netbatch::cluster {
 
 class MachineArena;
 
-// Read-only range over one machine's running or suspended registry,
-// yielding JobIds in arrival order (head to tail).
-class MachineJobList {
- public:
-  MachineJobList(const JobArena* jobs, std::uint32_t head, std::size_t count)
-      : jobs_(jobs), head_(head), count_(count) {}
-
-  class const_iterator {
-   public:
-    const_iterator(const JobArena* jobs, std::uint32_t slot)
-        : jobs_(jobs), slot_(slot) {}
-    JobId operator*() const { return jobs_->spec_[slot_].id; }
-    const_iterator& operator++() {
-      slot_ = jobs_->link_next_[slot_];
-      return *this;
-    }
-    bool operator==(const const_iterator& other) const {
-      return slot_ == other.slot_;
-    }
-    bool operator!=(const const_iterator& other) const {
-      return slot_ != other.slot_;
-    }
-
-   private:
-    const JobArena* jobs_;
-    std::uint32_t slot_;
-  };
-  const_iterator begin() const { return const_iterator(jobs_, head_); }
-  const_iterator end() const {
-    return const_iterator(jobs_, JobArena::kNoSlot);
-  }
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  JobId front() const {
-    NETBATCH_CHECK(head_ != JobArena::kNoSlot, "front() of empty registry");
-    return jobs_->spec_[head_].id;
-  }
-
- private:
-  const JobArena* jobs_;
-  std::uint32_t head_;
-  std::size_t count_;
-};
-
 class Machine {
  public:
   Machine(MachineArena* arena, std::uint32_t slot)
@@ -113,8 +69,8 @@ class Machine {
   // Running/suspended job registries (order = arrival order on host).
   // AddRunning/RemoveRunning also maintain the per-priority running-class
   // summary below, so callers pass the job's priority and resource demand.
-  MachineJobList running() const;
-  MachineJobList suspended() const;
+  JobList running() const;
+  JobList suspended() const;
   void AddRunning(JobId job, std::int32_t priority, std::int32_t cores,
                   std::int64_t memory_mb);
   void RemoveRunning(JobId job, std::int32_t priority, std::int32_t cores,
@@ -256,7 +212,7 @@ class MachineArena {
   void RemoveRunningClass(std::uint32_t machine, std::int32_t priority,
                           std::int32_t cores, std::int64_t memory_mb);
 
-  // Intrusive-list surgery on the job arena's link columns. `running`
+  // Registry membership on the job arena's intrusive lists. `running`
   // selects the registry; appends go to the tail (old push_back order).
   void LinkJob(std::uint32_t machine, JobId job, bool running);
   void UnlinkJob(std::uint32_t machine, JobId job, bool running);
@@ -305,13 +261,13 @@ inline bool Machine::online() const { return arena_->online_[slot_] != 0; }
 inline void Machine::set_online(bool online) {
   arena_->online_[slot_] = online ? 1 : 0;
 }
-inline MachineJobList Machine::running() const {
-  return MachineJobList(arena_->jobs_, arena_->run_head_[slot_],
-                        arena_->run_count_[slot_]);
+inline JobList Machine::running() const {
+  return JobList(arena_->jobs_, arena_->run_head_[slot_],
+                 arena_->run_count_[slot_]);
 }
-inline MachineJobList Machine::suspended() const {
-  return MachineJobList(arena_->jobs_, arena_->susp_head_[slot_],
-                        arena_->susp_count_[slot_]);
+inline JobList Machine::suspended() const {
+  return JobList(arena_->jobs_, arena_->susp_head_[slot_],
+                 arena_->susp_count_[slot_]);
 }
 inline std::int32_t Machine::lowest_running_priority() const {
   const std::uint32_t head = arena_->class_head_[slot_];

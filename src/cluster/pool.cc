@@ -19,9 +19,16 @@ PhysicalPool::PhysicalPool(PoolId id, MachineArena machines,
                  "machine assigned to wrong pool");
   NETBATCH_CHECK(&machines_.jobs() == jobs_,
                  "machine arena bound to a different job table");
+  std::int32_t max_cores = 0;
   for (const Machine& machine : machines_) {
     total_cores_ += machine.cores_total();
+    max_cores = std::max(max_cores, machine.cores_total());
   }
+  // Pre-size the wait queue: only jobs some machine could ever run wait
+  // here, and the paper has two priority levels — so enqueues allocate
+  // nothing from the first one on.
+  waiting_cores_count_.assign(static_cast<std::size_t>(max_cores) + 1, 0);
+  wait_classes_.reserve(2);
   machine_words_ = (machines_.size() + 63) / 64;
   free_index_.Rebuild(machines_);
   capacity_classes_.Rebuild(machines_);
@@ -146,12 +153,34 @@ std::int64_t PhysicalPool::MinWaitingMemoryFloor() const {
   return std::numeric_limits<std::int64_t>::max();
 }
 
-void PhysicalPool::Enqueue(Job job, Ticks now) {
-  const WaitKey key{-job.priority(), next_wait_seq_++};
-  waiting_.emplace(key,
-                   WaitEntry{job.id(), job.spec().cores, job.spec().memory_mb});
-  waiting_index_.emplace(job.id(), key);
+void PhysicalPool::LinkWaiting(const Job& job) {
+  const workload::Priority priority = job.priority();
+  auto it = wait_classes_.begin();
+  while (it != wait_classes_.end() && it->priority > priority) ++it;
+  if (it == wait_classes_.end() || it->priority != priority) {
+    it = wait_classes_.insert(it, WaitClass{priority});
+  }
+  jobs_->LinkTail(job.slot(), JobArena::kWaitingList, it->head, it->tail);
+  ++it->count;
+  ++waiting_count_;
   AddWaitingDemand(job.spec().cores, job.spec().memory_mb);
+}
+
+void PhysicalPool::UnlinkWaiting(const Job& job) {
+  auto cls = wait_classes_.begin();
+  while (cls != wait_classes_.end() && cls->priority != job.priority()) ++cls;
+  NETBATCH_CHECK(cls != wait_classes_.end() &&
+                     jobs_->OnList(job.slot(), JobArena::kWaitingList,
+                                   cls->head),
+                 "job not in this wait queue");
+  jobs_->Unlink(job.slot(), cls->head, cls->tail);
+  --cls->count;
+  --waiting_count_;
+  RemoveWaitingDemand(job.spec().cores, job.spec().memory_mb);
+}
+
+void PhysicalPool::Enqueue(Job job, Ticks now) {
+  LinkWaiting(job);
   job.OnEnqueued(now, id_);
   if (observer_ != nullptr) observer_->OnJobEnqueued(job);
 }
@@ -352,12 +381,15 @@ bool PhysicalPool::TryResume(Job job, Ticks now) {
 }
 
 void PhysicalPool::RemoveFromQueue(JobId job) {
-  const auto it = waiting_index_.find(job);
-  NETBATCH_CHECK(it != waiting_index_.end(), "job not in this wait queue");
-  waiting_.erase(it->second);
-  const workload::JobSpec& spec = jobs_->at(job).spec();
-  RemoveWaitingDemand(spec.cores, spec.memory_mb);
-  waiting_index_.erase(it);
+  // Contains first: an id the arena has never seen must fail as a queue
+  // miss, not as at()'s unknown-id abort. The link tag alone cannot tell
+  // this pool's queue from another pool's (they share one arena), so the
+  // job's own state and pool must agree too.
+  NETBATCH_CHECK(jobs_->Contains(job), "job not in this wait queue");
+  const Job waiting = jobs_->at(job);
+  NETBATCH_CHECK(waiting.state() == JobState::kWaiting && waiting.pool() == id_,
+                 "job not in this wait queue");
+  UnlinkWaiting(waiting);
 }
 
 MachineId PhysicalPool::DetachSuspended(Job job) {
@@ -409,14 +441,21 @@ JobId PhysicalPool::ScheduleNextOn(Machine machine, Ticks now) {
   // memory (or vice versa) cannot start any waiting job, so don't walk the
   // queue for it. The minima come from different jobs, so passing the gate
   // doesn't guarantee a fit — it only prunes certain misses.
-  if (!waiting_.empty() && machine.cores_free() >= MinWaitingCores() &&
+  std::uint32_t best_waiting_slot = JobArena::kNoSlot;
+  if (waiting_count_ > 0 && machine.cores_free() >= MinWaitingCores() &&
       machine.memory_free_mb() >= MinWaitingMemoryFloor()) {
-    for (const auto& [key, entry] : waiting_) {
-      if (machine.Fits(entry.cores, entry.memory_mb)) {
-        best_waiting = entry.id;
-        best_waiting_prio = -key.neg_priority;
-        break;
+    for (const WaitClass& cls : wait_classes_) {
+      for (std::uint32_t slot = cls.head; slot != JobArena::kNoSlot;
+           slot = jobs_->NextOnList(slot)) {
+        const workload::JobSpec& spec = Job(jobs_, slot).spec();
+        if (machine.Fits(spec.cores, spec.memory_mb)) {
+          best_waiting_slot = slot;
+          best_waiting = spec.id;
+          best_waiting_prio = cls.priority;
+          break;
+        }
       }
+      if (best_waiting.valid()) break;
     }
   }
 
@@ -430,8 +469,8 @@ JobId PhysicalPool::ScheduleNextOn(Machine machine, Ticks now) {
     return best_suspended;
   }
   if (best_waiting.valid()) {
-    const Job job = jobs_->at(best_waiting);
-    RemoveFromQueue(best_waiting);
+    const Job job(jobs_, best_waiting_slot);
+    UnlinkWaiting(job);
     StartOn(job, machine, now);
     return best_waiting;
   }
@@ -563,13 +602,9 @@ void PhysicalPool::RestoreSuspended(Job job) {
 void PhysicalPool::RestoreWaiting(Job job) {
   NETBATCH_CHECK(job.state() == JobState::kWaiting && job.pool() == id_,
                  "restore-waiting job is not waiting in this pool");
-  // Fresh seqs, assigned in snapshot order (the snapshot emits the queue in
-  // key order), preserve the exact relative FIFO order within a priority.
-  const WaitKey key{-job.priority(), next_wait_seq_++};
-  waiting_.emplace(key,
-                   WaitEntry{job.id(), job.spec().cores, job.spec().memory_mb});
-  waiting_index_.emplace(job.id(), key);
-  AddWaitingDemand(job.spec().cores, job.spec().memory_mb);
+  // Tail appends in snapshot order (the snapshot emits the queue in
+  // priority-desc FIFO order) rebuild the exact relative order.
+  LinkWaiting(job);
 }
 
 void PhysicalPool::RestoreOffline(MachineId machine_id) {
@@ -585,7 +620,11 @@ void PhysicalPool::AppendJobsInRestoreOrder(std::vector<JobId>& out) const {
     for (const JobId id : machine.running()) out.push_back(id);
     for (const JobId id : machine.suspended()) out.push_back(id);
   }
-  for (const auto& [key, entry] : waiting_) out.push_back(entry.id);
+  for (const WaitClass& cls : wait_classes_) {
+    for (const JobId id : JobList(jobs_, cls.head, cls.count)) {
+      out.push_back(id);
+    }
+  }
 }
 
 void PhysicalPool::AppendOfflineMachines(std::vector<MachineId>& out) const {
@@ -672,25 +711,37 @@ void PhysicalPool::AuditInvariants(Ticks now, InvariantSink& sink) const {
       machines_, [&](const char* what) { check(false, what); });
   check(busy == busy_cores_, "pool busy-core counter out of sync");
   check(suspended == suspended_count_, "pool suspended counter out of sync");
-  check(waiting_.size() == waiting_index_.size(),
-        "wait queue indexes out of sync");
   std::vector<std::int32_t> cores_count(waiting_cores_count_.size(), 0);
   std::vector<std::int32_t> memory_count(waiting_memory_count_.size(), 0);
-  for (const auto& [key, entry] : waiting_) {
-    const Job& job = jobs_->at(entry.id);
-    check(job.state() == JobState::kWaiting,
-          "wait queue holds non-waiting job");
-    check(job.pool() == id_, "wait queue holds foreign job");
-    check(entry.cores == job.spec().cores &&
-              entry.memory_mb == job.spec().memory_mb,
-          "wait queue entry demand is stale");
-    const auto index_it = waiting_index_.find(entry.id);
-    check(index_it != waiting_index_.end() && index_it->second == key,
-          "wait queue index disagrees with queue entry");
-    const std::size_t slot = static_cast<std::size_t>(entry.cores);
-    if (slot < cores_count.size()) ++cores_count[slot];
-    ++memory_count[MemoryBucket(entry.memory_mb)];
+  std::size_t waiting = 0;
+  for (std::size_t c = 0; c < wait_classes_.size(); ++c) {
+    const WaitClass& cls = wait_classes_[c];
+    check(c == 0 || wait_classes_[c - 1].priority > cls.priority,
+          "wait classes out of priority order");
+    std::uint32_t members = 0;
+    std::uint32_t prev = JobArena::kNoSlot;
+    for (std::uint32_t slot = cls.head; slot != JobArena::kNoSlot;
+         slot = jobs_->NextOnList(slot)) {
+      const Job job(jobs_, slot);
+      check(jobs_->OnList(slot, JobArena::kWaitingList, cls.head) &&
+                jobs_->PrevOnList(slot) == prev,
+            "wait queue links out of sync");
+      check(job.state() == JobState::kWaiting,
+            "wait queue holds non-waiting job");
+      check(job.pool() == id_, "wait queue holds foreign job");
+      check(job.priority() == cls.priority,
+            "wait queue job filed under the wrong priority");
+      const std::size_t cores = static_cast<std::size_t>(job.spec().cores);
+      if (cores < cores_count.size()) ++cores_count[cores];
+      ++memory_count[MemoryBucket(job.spec().memory_mb)];
+      prev = slot;
+      ++members;
+    }
+    check(members == cls.count && prev == cls.tail,
+          "wait class count or tail out of sync");
+    waiting += members;
   }
+  check(waiting == waiting_count_, "wait queue length out of sync");
   check(cores_count == waiting_cores_count_ &&
             memory_count == waiting_memory_count_,
         "wait-queue demand summaries out of sync");

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/invariants.h"
@@ -73,7 +72,7 @@ class PhysicalPool {
                : static_cast<double>(busy_cores_) /
                      static_cast<double>(total_cores_);
   }
-  std::size_t QueueLength() const { return waiting_.size(); }
+  std::size_t QueueLength() const { return waiting_count_; }
   std::size_t SuspendedCount() const { return suspended_count_; }
 
   // Capacity check: can some machine here ever run this job? With
@@ -113,6 +112,7 @@ class PhysicalPool {
   bool TryResume(Job job, Ticks now);
 
   // Removes a job from this pool's wait queue (wait-timeout rescheduling).
+  // Aborts unless `job` is waiting in THIS pool.
   void RemoveFromQueue(JobId job);
 
   // Detaches a suspended job from its machine (suspended-job rescheduling),
@@ -181,23 +181,25 @@ class PhysicalPool {
   Machine MachineById(MachineId id) const;
 
  private:
-  // Ordered wait-queue key: highest priority first, then FIFO.
-  struct WaitKey {
-    workload::Priority neg_priority;  // negated so smaller = higher priority
-    std::uint64_t seq;
-    friend auto operator<=>(const WaitKey&, const WaitKey&) = default;
-  };
-  // Queue entry carries the job's demand so the backfill walk doesn't
-  // dereference the job table per scanned waiter.
-  struct WaitEntry {
-    JobId id;
-    std::int32_t cores = 0;
-    std::int64_t memory_mb = 0;
+  // The wait queue: one FIFO per distinct priority, threaded through the
+  // job arena's link columns (JobArena::kWaitingList) and kept in
+  // descending priority order, so walking the classes front to back, each
+  // head to tail, yields (priority desc, FIFO) order by construction.
+  // Classes that empty out stay — distinct priorities are few.
+  struct WaitClass {
+    workload::Priority priority = 0;
+    std::uint32_t head = JobArena::kNoSlot;
+    std::uint32_t tail = JobArena::kNoSlot;
+    std::uint32_t count = 0;
   };
 
   void StartOn(Job job, Machine machine, Ticks now);
   void ResumeOn(Job job, Machine machine, Ticks now);
   void Enqueue(Job job, Ticks now);
+  // Wait-queue list surgery shared by Enqueue, RestoreWaiting and the
+  // dequeue paths; both keep the demand summaries in step.
+  void LinkWaiting(const Job& job);
+  void UnlinkWaiting(const Job& job);
 
   // Index maintenance. ReindexFree re-syncs a machine's free-capacity entry
   // after any Claim/Release/online flip. The running-registry wrappers keep
@@ -235,9 +237,8 @@ class PhysicalPool {
   std::int64_t busy_cores_ = 0;
   std::size_t suspended_count_ = 0;
 
-  std::map<WaitKey, WaitEntry> waiting_;
-  std::unordered_map<JobId, WaitKey> waiting_index_;
-  std::uint64_t next_wait_seq_ = 0;
+  std::vector<WaitClass> wait_classes_;  // descending priority
+  std::size_t waiting_count_ = 0;
   // Demand summaries of waiting jobs; let Backfill skip queue scans when a
   // machine has fewer free cores than any waiting job needs — or,
   // symmetrically, less free memory (a machine with idle cores but

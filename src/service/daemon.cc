@@ -103,6 +103,9 @@ void Daemon::Run(const std::atomic<bool>& stop) {
   const std::uint64_t origin_ns = WallNanos();
   for (auto& shard : shards_) shard->set_clock_origin(origin_ns);
   for (auto& shard : shards_) shard->Start();
+  // No session is served before every shard has recovered: connections
+  // wait in the listen backlog meanwhile (see ShardLoop::WaitUntilServing).
+  for (auto& shard : shards_) shard->WaitUntilServing();
 
   net::Poller poller;
   if (unix_listener_ >= 0) poller.Add(unix_listener_, net::kPollIn, kUnixToken);

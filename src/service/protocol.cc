@@ -4,23 +4,6 @@
 
 namespace netbatch::service {
 
-void WireWriter::U16(std::uint16_t v) {
-  out_->push_back(static_cast<std::uint8_t>(v));
-  out_->push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::U32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out_->push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void WireWriter::U64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out_->push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
 std::uint16_t WireReader::U16() {
   if (pos_ + 2 > size_) {
     ok_ = false;
@@ -76,12 +59,28 @@ void EncodeHeader(const FrameHeader& header, std::vector<std::uint8_t>& out) {
 void EncodeFrame(std::uint16_t opcode, std::uint64_t request_id,
                  const std::vector<std::uint8_t>& payload,
                  std::vector<std::uint8_t>& out) {
+  const std::size_t frame_start = BeginFrame(opcode, request_id, out);
+  out.insert(out.end(), payload.begin(), payload.end());
+  EndFrame(frame_start, out);
+}
+
+std::size_t BeginFrame(std::uint16_t opcode, std::uint64_t request_id,
+                       std::vector<std::uint8_t>& out) {
+  const std::size_t frame_start = out.size();
   FrameHeader header;
   header.opcode = opcode;
   header.request_id = request_id;
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
   EncodeHeader(header, out);
-  out.insert(out.end(), payload.begin(), payload.end());
+  return frame_start;
+}
+
+void EndFrame(std::size_t frame_start, std::vector<std::uint8_t>& out) {
+  // payload_len is the header's last field.
+  constexpr std::size_t kLenOffset = kFrameHeaderSize - 4;
+  const auto len =
+      static_cast<std::uint32_t>(out.size() - frame_start - kFrameHeaderSize);
+  std::uint8_t* p = out.data() + frame_start + kLenOffset;
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(len >> (8 * i));
 }
 
 void EncodeJobSpec(const workload::JobSpec& spec,

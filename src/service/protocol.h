@@ -83,19 +83,30 @@ struct Frame {
 
 // --- little-endian scalar packing -------------------------------------------
 
-// Appends fixed-width little-endian scalars to a byte buffer. Explicitly
-// byte-by-byte, so the encoding is identical on any host.
+// Appends fixed-width little-endian scalars to a byte buffer: one resize
+// per value, then explicit byte stores, so the encoding is identical on any
+// host (and compiles to a single store on a little-endian one).
 class WireWriter {
  public:
   explicit WireWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
 
-  void U16(std::uint16_t v);
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
+  void U16(std::uint16_t v) { Put(v); }
+  void U32(std::uint32_t v) { Put(v); }
+  void U64(std::uint64_t v) { Put(v); }
   void I32(std::int32_t v) { U32(static_cast<std::uint32_t>(v)); }
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
 
  private:
+  template <typename T>
+  void Put(T v) {
+    const std::size_t at = out_->size();
+    out_->resize(at + sizeof(T));
+    std::uint8_t* p = out_->data() + at;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
   std::vector<std::uint8_t>* out_;
 };
 
@@ -140,6 +151,15 @@ void EncodeHeader(const FrameHeader& header, std::vector<std::uint8_t>& out);
 void EncodeFrame(std::uint16_t opcode, std::uint64_t request_id,
                  const std::vector<std::uint8_t>& payload,
                  std::vector<std::uint8_t>& out);
+
+// In-place frame encoding, for a payload built straight into `out`:
+// BeginFrame appends a header with payload_len 0 and returns the frame's
+// offset in `out`; the caller appends the payload; EndFrame patches
+// payload_len to the bytes appended since. The result is byte-identical to
+// EncodeFrame over the same payload, without the payload temporary.
+std::size_t BeginFrame(std::uint16_t opcode, std::uint64_t request_id,
+                       std::vector<std::uint8_t>& out);
+void EndFrame(std::size_t frame_start, std::vector<std::uint8_t>& out);
 
 void EncodeJobSpec(const workload::JobSpec& spec,
                    std::vector<std::uint8_t>& out);

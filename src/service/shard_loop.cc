@@ -259,6 +259,8 @@ void ShardLoop::Join() {
 
 void ShardLoop::Run() {
   if (!options_.data_dir.empty()) RecoverFromDisk();
+  serving_.store(true, std::memory_order_release);
+  serving_.notify_all();
   poller_.Add(mailbox_.wake_fd(), net::kPollIn, kWakeToken);
   while (!stop_.load(std::memory_order_relaxed)) {
     int timeout_ms = NextTimerDelayMs();
@@ -522,15 +524,21 @@ void ShardLoop::FlushRound() {
 
 // --- frame dispatch ---------------------------------------------------------
 
+template <typename EncodePayload>
 void ShardLoop::Respond(std::uint32_t origin, std::uint64_t token,
-                        std::vector<std::uint8_t>&& bytes,
-                        std::vector<std::uint8_t>* out) {
-  if (origin == options_.shard_index) {
-    if (out != nullptr) {
-      out->insert(out->end(), bytes.begin(), bytes.end());
-    } else {
-      WriteToSession(token, bytes.data(), bytes.size());
-    }
+                        std::uint16_t opcode, std::uint64_t request_id,
+                        std::vector<std::uint8_t>* out,
+                        EncodePayload&& encode_payload) {
+  const bool local = origin == options_.shard_index;
+  std::vector<std::uint8_t> own;
+  std::vector<std::uint8_t>& bytes = local && out != nullptr ? *out : own;
+  const std::size_t frame_start =
+      BeginFrame(opcode | kResponseBit, request_id, bytes);
+  encode_payload(bytes);
+  EndFrame(frame_start, bytes);
+  if (&bytes == out) return;
+  if (local) {
+    WriteToSession(token, own.data(), own.size());
     return;
   }
   // A forwarded mutation was applied (and logged) HERE, but its ack leaves
@@ -542,19 +550,17 @@ void ShardLoop::Respond(std::uint32_t origin, std::uint64_t token,
   msg.kind = ShardMessage::Kind::kResponse;
   msg.sender = options_.shard_index;
   msg.token = token;
-  msg.bytes = std::move(bytes);
+  msg.bytes = std::move(own);
   peers_[origin]->Post(std::move(msg));
 }
 
 void ShardLoop::RespondStatus(std::uint32_t origin, std::uint64_t token,
                               const FrameHeader& header, Status status,
                               std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  w.U32(static_cast<std::uint32_t>(status));
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(header.opcode | kResponseBit, header.request_id, payload, bytes);
-  Respond(origin, token, std::move(bytes), out);
+  Respond(origin, token, header.opcode, header.request_id, out,
+          [status](std::vector<std::uint8_t>& payload) {
+            WireWriter(payload).U32(static_cast<std::uint32_t>(status));
+          });
 }
 
 void ShardLoop::ForwardFrame(std::uint32_t target, std::uint32_t origin,
@@ -639,12 +645,10 @@ void ShardLoop::HandleSubmit(std::uint32_t origin, std::uint64_t token,
   }
   if (valid && draining_->load(std::memory_order_acquire)) {
     response.status = Status::kDraining;
-    std::vector<std::uint8_t> payload;
-    EncodeSubmitResponse(response, payload);
-    std::vector<std::uint8_t> bytes;
-    EncodeFrame(static_cast<std::uint16_t>(Opcode::kSubmit) | kResponseBit,
-                frame.header.request_id, payload, bytes);
-    Respond(origin, token, std::move(bytes), out);
+    Respond(origin, token, frame.header.opcode, frame.header.request_id, out,
+            [&](std::vector<std::uint8_t>& payload) {
+              EncodeSubmitResponse(response, payload);
+            });
     return;
   }
   if (valid && !spec.candidate_pools.empty()) {
@@ -713,12 +717,10 @@ void ShardLoop::HandleSubmit(std::uint32_t origin, std::uint64_t token,
     }
   }
   if (!valid) response.status = Status::kBadRequest;
-  std::vector<std::uint8_t> payload;
-  EncodeSubmitResponse(response, payload);
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(static_cast<std::uint16_t>(Opcode::kSubmit) | kResponseBit,
-              frame.header.request_id, payload, bytes);
-  Respond(origin, token, std::move(bytes), out);
+  Respond(origin, token, frame.header.opcode, frame.header.request_id, out,
+          [&](std::vector<std::uint8_t>& payload) {
+            EncodeSubmitResponse(response, payload);
+          });
 }
 
 void ShardLoop::HandleJobOp(std::uint32_t origin, std::uint64_t token,
@@ -802,18 +804,16 @@ void ShardLoop::HandleJobOp(std::uint32_t origin, std::uint64_t token,
       machine = job.machine().value();
     }
   }
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  w.U32(static_cast<std::uint32_t>(status));
-  if (opcode == Opcode::kQueryJob) {
-    w.U32(state);
-    w.U32(pool);
-    w.U32(machine);
-  }
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(frame.header.opcode | kResponseBit, frame.header.request_id,
-              payload, bytes);
-  Respond(origin, token, std::move(bytes), out);
+  Respond(origin, token, frame.header.opcode, frame.header.request_id, out,
+          [&](std::vector<std::uint8_t>& payload) {
+            WireWriter w(payload);
+            w.U32(static_cast<std::uint32_t>(status));
+            if (opcode == Opcode::kQueryJob) {
+              w.U32(state);
+              w.U32(pool);
+              w.U32(machine);
+            }
+          });
 }
 
 void ShardLoop::HandleMachineOp(std::uint32_t origin, std::uint64_t token,
@@ -862,11 +862,11 @@ void ShardLoop::HandleStats(std::uint64_t token, const Frame& frame,
   if (options_.shard_count == 1) {
     std::string text = core_.counters().Render();
     text += RenderLatencyLine(placement_latency_);
-    std::vector<std::uint8_t> payload(text.begin(), text.end());
-    std::vector<std::uint8_t> bytes;
-    EncodeFrame(static_cast<std::uint16_t>(Opcode::kStats) | kResponseBit,
-                frame.header.request_id, payload, bytes);
-    Respond(options_.shard_index, token, std::move(bytes), out);
+    Respond(options_.shard_index, token, frame.header.opcode,
+            frame.header.request_id, out,
+            [&](std::vector<std::uint8_t>& payload) {
+              payload.insert(payload.end(), text.begin(), text.end());
+            });
     return;
   }
   const std::uint64_t gid = next_gather_id_++;
@@ -891,11 +891,11 @@ void ShardLoop::FinishStatsGather(std::uint64_t gather_id) {
   StatsGather& g = it->second;
   std::string text = RenderCounterSnapshot(g.counters);
   text += RenderLatencyLine(g.latency);
-  std::vector<std::uint8_t> payload(text.begin(), text.end());
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(static_cast<std::uint16_t>(Opcode::kStats) | kResponseBit,
-              g.request_id, payload, bytes);
-  WriteToSession(g.token, bytes.data(), bytes.size());
+  Respond(options_.shard_index, g.token,
+          static_cast<std::uint16_t>(Opcode::kStats), g.request_id,
+          /*out=*/nullptr, [&](std::vector<std::uint8_t>& payload) {
+            payload.insert(payload.end(), text.begin(), text.end());
+          });
   stats_gathers_.erase(it);
 }
 
@@ -932,12 +932,11 @@ void EncodeSnapshotPayload(Ticks now,
 void ShardLoop::HandleSnapshot(std::uint64_t token, const Frame& frame,
                                std::vector<std::uint8_t>* out) {
   if (options_.shard_count == 1) {
-    std::vector<std::uint8_t> payload;
-    EncodeSnapshotPayload(NowTicks(), LocalSnapshot(), payload);
-    std::vector<std::uint8_t> bytes;
-    EncodeFrame(static_cast<std::uint16_t>(Opcode::kSnapshot) | kResponseBit,
-                frame.header.request_id, payload, bytes);
-    Respond(options_.shard_index, token, std::move(bytes), out);
+    Respond(options_.shard_index, token, frame.header.opcode,
+            frame.header.request_id, out,
+            [&](std::vector<std::uint8_t>& payload) {
+              EncodeSnapshotPayload(NowTicks(), LocalSnapshot(), payload);
+            });
     return;
   }
   const std::uint64_t gid = next_gather_id_++;
@@ -963,12 +962,11 @@ void ShardLoop::FinishSnapshotGather(std::uint64_t gather_id) {
             [](const auto& a, const auto& b) {
               return a.id.value() < b.id.value();
             });
-  std::vector<std::uint8_t> payload;
-  EncodeSnapshotPayload(NowTicks(), g.merged, payload);
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(static_cast<std::uint16_t>(Opcode::kSnapshot) | kResponseBit,
-              g.request_id, payload, bytes);
-  WriteToSession(g.token, bytes.data(), bytes.size());
+  Respond(options_.shard_index, g.token,
+          static_cast<std::uint16_t>(Opcode::kSnapshot), g.request_id,
+          /*out=*/nullptr, [&](std::vector<std::uint8_t>& payload) {
+            EncodeSnapshotPayload(NowTicks(), g.merged, payload);
+          });
   snapshot_gathers_.erase(it);
 }
 
@@ -1257,7 +1255,12 @@ void ShardLoop::RecoverFromDisk() {
       reclaim_queue_.push_back(id);
       continue;
     }
-    if (!job.is_duplicate()) directory_->TryInsert(id, options_.shard_index);
+    if (job.is_duplicate()) continue;
+    // Shards recover concurrently but serve only after all of them are
+    // done (Daemon::Run), so no live submit can have claimed the id: a
+    // clash means two shards' logs both own it.
+    NETBATCH_CHECK(directory_->TryInsert(id, options_.shard_index),
+                   "recovered job id already owned by another shard");
   }
 
   persist::WalOptions wal_options;
@@ -1363,13 +1366,12 @@ void ShardLoop::StartCheckpointFanout(std::uint64_t token,
 
 void ShardLoop::FinishCheckpointGather(std::uint64_t gather_id) {
   const auto it = checkpoint_gathers_.find(gather_id);
-  CheckpointGather& g = it->second;
-  std::vector<std::uint8_t> payload;
-  WireWriter w(payload);
-  w.U32(static_cast<std::uint32_t>(Status::kOk));
-  std::vector<std::uint8_t> bytes;
-  EncodeFrame(g.opcode | kResponseBit, g.request_id, payload, bytes);
-  WriteToSession(g.token, bytes.data(), bytes.size());
+  const CheckpointGather& g = it->second;
+  FrameHeader header;
+  header.opcode = g.opcode;
+  header.request_id = g.request_id;
+  RespondStatus(options_.shard_index, g.token, header, Status::kOk,
+                /*out=*/nullptr);
   checkpoint_gathers_.erase(it);
 }
 

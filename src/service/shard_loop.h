@@ -131,6 +131,14 @@ class ShardLoop final : private sched::CoreHost,
   void Start();
   void RequestStop();
   void Join();
+  // Blocks until the loop has finished RecoverFromDisk (immediately true
+  // without a data dir) and is about to poll. The acceptor waits on every
+  // shard before it accepts a connection: a shard that answered while a
+  // peer was still replaying would miss that peer's jobs in the shared
+  // directory — kUnknownJob for acked ids, or a second owner on re-submit.
+  void WaitUntilServing() const {
+    serving_.wait(false, std::memory_order_acquire);
+  }
 
   // Thread-safe: this is how the acceptor and peer shards reach the loop.
   void Post(ShardMessage message) { mailbox_.Post(std::move(message)); }
@@ -252,9 +260,16 @@ class ShardLoop final : private sched::CoreHost,
   void ProcessFrame(std::uint32_t origin, std::uint64_t token,
                     const Frame& frame, std::uint64_t arrival_ns,
                     std::vector<std::uint8_t>* out);
-  void Respond(std::uint32_t origin, std::uint64_t token,
-               std::vector<std::uint8_t>&& bytes,
-               std::vector<std::uint8_t>* out);
+  // Encodes one response frame — header, then `encode_payload(buffer)`
+  // appending the payload, then the patched payload_len — and delivers it.
+  // A response to a local frame off a readable session is built straight
+  // into `out`, the round's batch for that session. Anything else gets its
+  // own vector: written to the local session, or moved into the origin
+  // shard's mailbox.
+  template <typename EncodePayload>
+  void Respond(std::uint32_t origin, std::uint64_t token, std::uint16_t opcode,
+               std::uint64_t request_id, std::vector<std::uint8_t>* out,
+               EncodePayload&& encode_payload);
   void RespondStatus(std::uint32_t origin, std::uint64_t token,
                      const FrameHeader& header, Status status,
                      std::vector<std::uint8_t>* out);
@@ -350,6 +365,7 @@ class ShardLoop final : private sched::CoreHost,
 
   std::thread thread_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> serving_{false};
 
   // Reused per-wakeup buffers; steady-state serving allocates nothing
   // beyond mailbox nodes.

@@ -547,6 +547,48 @@ TEST(PoolTest, RemoveFromQueueUnknownJobAborts) {
                "not in this wait queue");
 }
 
+// Pools of one cluster share a job arena, so the intrusive link tag alone
+// cannot tell this pool's wait queue from another's: a job waiting in pool
+// 1 (second in its class, so its prev link is set) must not be unlinkable
+// through pool 0 — nor may a job that is running rather than waiting.
+TEST(PoolTest, RemoveFromQueueRefusesJobsNotWaitingHere) {
+  JobTable jobs;
+  const auto one_machine_pool = [&](PoolId id) {
+    MachineArena machines(id, jobs);
+    machines.Add(1, 1024, 1.0);
+    return std::make_unique<PhysicalPool>(id, std::move(machines), jobs,
+                                          /*suspended_holds_memory=*/true);
+  };
+  const auto pool0 = one_machine_pool(PoolId(0));
+  const auto pool1 = one_machine_pool(PoolId(1));
+  std::vector<Job> placed;
+  for (JobId::ValueType id = 0; id < 3; ++id) {
+    Job job = jobs.Create(Spec(id, 1, 512));
+    job.OnSubmitted(0);
+    pool1->TryPlace(job, 0);
+    placed.push_back(job);
+  }
+  ASSERT_EQ(placed[0].state(), JobState::kRunning);
+  ASSERT_EQ(placed[2].state(), JobState::kWaiting);
+  ASSERT_EQ(pool1->QueueLength(), 2u);
+  // Give pool 0 a waiting class of the same priority too.
+  Job local = jobs.Create(Spec(10, 1, 512));
+  local.OnSubmitted(0);
+  pool0->TryPlace(local, 0);
+  Job local_waiting = jobs.Create(Spec(11, 1, 512));
+  local_waiting.OnSubmitted(0);
+  pool0->TryPlace(local_waiting, 0);
+  ASSERT_EQ(pool0->QueueLength(), 1u);
+
+  EXPECT_DEATH(pool0->RemoveFromQueue(JobId(2)), "not in this wait queue");
+  EXPECT_DEATH(pool1->RemoveFromQueue(JobId(0)), "not in this wait queue");
+  pool0->CheckInvariants();
+  pool1->CheckInvariants();
+  pool1->RemoveFromQueue(JobId(2));
+  EXPECT_EQ(pool1->QueueLength(), 1u);
+  pool1->CheckInvariants();
+}
+
 TEST(PoolTest, QueueOrderIsPriorityThenFifo) {
   PoolFixture fixture;
   // Saturate the pool.

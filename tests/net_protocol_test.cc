@@ -128,6 +128,114 @@ TEST(ProtocolTest, WireReaderIsBoundsChecked) {
   EXPECT_FALSE(reader.exhausted());
 }
 
+// --- wire-format golden bytes ------------------------------------------------
+// Hard-coded little-endian bytes: the in-place encoders must reproduce the
+// format byte for byte, not merely round-trip through their own decoder.
+
+using Bytes = std::vector<std::uint8_t>;
+
+TEST(WireGoldenTest, WireWriterEmitsLittleEndianBytes) {
+  Bytes out = {0xaa};  // appends after existing content
+  WireWriter w(out);
+  w.U16(0xbeef);
+  w.U32(0xdeadbeefu);
+  w.U64(0x0123456789abcdefull);
+  w.I32(-2);
+  w.I64(-2);
+  const Bytes golden = {0xaa,                                            //
+                        0xef, 0xbe,                                      //
+                        0xef, 0xbe, 0xad, 0xde,                          //
+                        0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  //
+                        0xfe, 0xff, 0xff, 0xff,                          //
+                        0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+  EXPECT_EQ(out, golden);
+}
+
+// The 20-byte response header: magic "NBP1", version 1, opcode with the
+// response bit, request id, payload_len.
+Bytes GoldenHeader(std::uint8_t opcode, std::uint8_t request_id,
+                   std::uint8_t payload_len) {
+  return {0x4e, 0x42, 0x50, 0x31, 0x01, 0x00, opcode, 0x80,
+          request_id, 0, 0, 0, 0, 0, 0, 0,
+          payload_len, 0, 0, 0};
+}
+
+Bytes Concat(Bytes a, const Bytes& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// Encodes one response in place after `prefix` (a frame already batched
+// for the session, as the daemon's round buffer holds), checks it against
+// the golden bytes and against EncodeFrame over a separate payload.
+template <typename EncodePayload>
+void ExpectInPlaceFrame(Opcode opcode, std::uint64_t request_id,
+                        EncodePayload encode_payload, const Bytes& golden) {
+  const Bytes prefix = MakeSubmitFrame(9, 99);
+  Bytes out = prefix;
+  const std::size_t start = BeginFrame(
+      static_cast<std::uint16_t>(opcode) | kResponseBit, request_id, out);
+  EXPECT_EQ(start, prefix.size());
+  encode_payload(out);
+  EndFrame(start, out);
+  EXPECT_EQ(out, Concat(prefix, golden));
+
+  Bytes payload;
+  encode_payload(payload);
+  Bytes framed;
+  EncodeFrame(static_cast<std::uint16_t>(opcode) | kResponseBit, request_id,
+              payload, framed);
+  EXPECT_EQ(framed, golden);
+}
+
+TEST(WireGoldenTest, SubmitResponseFrameInPlace) {
+  SubmitResponse response;
+  response.status = Status::kQueued;
+  response.job_id = 0x1122334455667788ull;
+  response.pool = 7;
+  response.machine = 0xa0b0c0d0u;
+  const Bytes golden = Concat(
+      GoldenHeader(0x01, 5, 20),
+      {0x01, 0x00, 0x00, 0x00,                          // status kQueued
+       0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // job id
+       0x07, 0x00, 0x00, 0x00,                          // pool
+       0xd0, 0xc0, 0xb0, 0xa0});                        // machine
+  ExpectInPlaceFrame(
+      Opcode::kSubmit, 5,
+      [&](Bytes& payload) { EncodeSubmitResponse(response, payload); },
+      golden);
+}
+
+TEST(WireGoldenTest, StatusResponseFrameInPlace) {
+  const Bytes golden =
+      Concat(GoldenHeader(0x08, 42, 4), {0x04, 0x00, 0x00, 0x00});
+  ExpectInPlaceFrame(
+      Opcode::kFailMachine, 42,
+      [](Bytes& payload) {
+        WireWriter(payload).U32(static_cast<std::uint32_t>(Status::kBadState));
+      },
+      golden);
+}
+
+TEST(WireGoldenTest, JobOpResponseFrameInPlace) {
+  // kQueryJob answers status, state, pool, machine.
+  const Bytes golden = Concat(GoldenHeader(0x05, 7, 16),
+                              {0x00, 0x00, 0x00, 0x00,    // status kOk
+                               0x02, 0x00, 0x00, 0x00,    // state
+                               0x03, 0x00, 0x00, 0x00,    // pool
+                               0x00, 0x01, 0x00, 0x00});  // machine
+  ExpectInPlaceFrame(
+      Opcode::kQueryJob, 7,
+      [](Bytes& payload) {
+        WireWriter w(payload);
+        w.U32(static_cast<std::uint32_t>(Status::kOk));
+        w.U32(2);
+        w.U32(3);
+        w.U32(0x100);
+      },
+      golden);
+}
+
 TEST(FrameDecoderTest, ReassemblesOneByteAtATime) {
   const std::vector<std::uint8_t> wire = MakeSubmitFrame(9, 77);
   FrameDecoder decoder;

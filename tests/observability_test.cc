@@ -128,10 +128,14 @@ TEST(EngineCountersTest, PeriodicAuditRunsWithoutObservers) {
 
 // ---- invariant auditor across scenario presets -----------------------------
 
+// The name is held inline rather than as a pointer: gtest prints this
+// unprintable parameter as its raw bytes into the test name, so a pointer
+// (or padding) would make the names change from build to build.
 struct PresetCase {
-  const char* name;
+  char name[12];
   int index;
 };
+static_assert(sizeof(PresetCase) == 16);
 
 class AuditorPresetTest : public ::testing::TestWithParam<PresetCase> {};
 
@@ -192,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PresetCase{"normal", 0}, PresetCase{"high", 1},
                       PresetCase{"highsusp", 2}, PresetCase{"year", 3}),
     [](const ::testing::TestParamInfo<PresetCase>& info) {
-      return info.param.name;
+      return std::string(info.param.name);
     });
 
 // ---- corruption detection --------------------------------------------------

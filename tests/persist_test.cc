@@ -793,6 +793,71 @@ TEST(DaemonPersistTest, CrashRestartRecoversAckedStateFourShards) {
   RunCrashRestartDrill(4, 4, "crash4");
 }
 
+// A restarted multi-shard daemon must not serve any session until every
+// shard has replayed its log. Shard 1 gets a long WAL, shard 0 an empty
+// one; the first request after the restart lands on shard 0 (the acceptor
+// deals sessions round-robin from shard 0) while shard 1 would still be
+// replaying. Serving early answered kUnknownJob for shard 1's acked job and
+// let shard 0 admit a second copy of another.
+TEST(DaemonPersistTest, RestartServesOnlyAfterEveryShardRecovered) {
+  TempDir data("barrier_data");
+  const std::string path = TestSocketPath("barrier");
+  const cluster::ClusterConfig config = SmallCluster(2, 2, 4);
+  DaemonOptions options = PersistOptions(path, data.path());
+  options.threads = 2;
+  constexpr std::uint64_t kJobs = 20000;
+  constexpr std::uint64_t kBatch = 256;
+
+  {
+    RunningDaemon daemon(config, options);
+    Client client(net::ConnectUnix(path));
+    ASSERT_TRUE(client.connected());
+    // Pipelined batches, all into pool 1 (shard 1): one WAL record each.
+    for (std::uint64_t base = 1; base <= kJobs; base += kBatch) {
+      const std::uint64_t end = std::min(base + kBatch, kJobs + 1);
+      for (std::uint64_t id = base; id < end; ++id) {
+        std::vector<std::uint8_t> payload;
+        EncodeJobSpec(MakeSpec(id, {PoolId(1)}), payload);
+        ASSERT_TRUE(client.Send(Opcode::kSubmit, id, payload));
+      }
+      for (std::uint64_t id = base; id < end; ++id) {
+        Frame frame;
+        ASSERT_TRUE(client.Recv(frame));
+        SubmitResponse response;
+        ASSERT_TRUE(DecodeSubmitResponse(frame.payload, response));
+        ASSERT_TRUE(response.status == Status::kOk ||
+                    response.status == Status::kQueued);
+      }
+    }
+  }  // crash: recovery replays all kJobs records on shard 1
+
+  RunningDaemon daemon(config, options);
+  Client client(net::ConnectUnix(path));
+  ASSERT_TRUE(client.connected());
+  // Both requests leave at once, before any response can arrive.
+  std::vector<std::uint8_t> query;
+  WireWriter(query).U64(1);
+  ASSERT_TRUE(client.Send(Opcode::kQueryJob, 1, query));
+  std::vector<std::uint8_t> resubmit;
+  EncodeJobSpec(MakeSpec(2, {PoolId(0)}), resubmit);
+  ASSERT_TRUE(client.Send(Opcode::kSubmit, 2, resubmit));
+  for (int i = 0; i < 2; ++i) {
+    Frame frame;
+    ASSERT_TRUE(client.Recv(frame));
+    WireReader r(frame.payload);
+    const auto status = static_cast<Status>(r.U32());
+    if (frame.header.request_id == 1) {
+      EXPECT_EQ(static_cast<std::uint32_t>(status),
+                static_cast<std::uint32_t>(Status::kOk))
+          << "acked job 1 unknown right after restart";
+    } else {
+      EXPECT_EQ(static_cast<std::uint32_t>(status),
+                static_cast<std::uint32_t>(Status::kBadRequest))
+          << "acked job 2 admitted a second time on another shard";
+    }
+  }
+}
+
 TEST(DaemonPersistTest, CheckpointTruncatesWalAndRestartReplaysOnlyTheTail) {
   TempDir data("ckpt_data");
   const std::string path = TestSocketPath("ckpt");

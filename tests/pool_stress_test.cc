@@ -3,7 +3,10 @@
 // every job must end in a legal state.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <optional>
+#include <utility>
 
 #include "cluster/pool.h"
 #include "common/rng.h"
@@ -112,6 +115,174 @@ TEST_P(PoolStressTest, InvariantsSurviveRandomOperationSequences) {
         << ToString(state);
   }
 }
+
+// --- wait-queue differential test -------------------------------------------
+// The pool's intrusive per-priority wait queue against the ordered map it
+// replaced, keyed (-priority, enqueue seq): highest priority first, FIFO
+// within a priority. Machines are owned by a group no job belongs to, so
+// nothing is ever preempted and every backfill pick comes from the queue —
+// which makes each pick predictable from the model alone.
+
+using WaitModel = std::map<std::pair<workload::Priority, std::uint64_t>, JobId>;
+
+class WaitQueueDiffTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+workload::JobSpec QueueSpec(Rng& rng, JobId::ValueType id) {
+  static constexpr workload::Priority kPriorities[] = {0, 3, 5, 10};
+  workload::JobSpec spec;
+  spec.id = JobId(id);
+  spec.cores = static_cast<std::int32_t>(rng.UniformInt(1, 6));
+  spec.memory_mb = rng.UniformInt(256, 12000);
+  spec.runtime = MinutesToTicks(rng.UniformInt(1, 500));
+  spec.priority = kPriorities[rng.UniformIndex(4)];
+  spec.owner = 0;
+  return spec;
+}
+
+// The queue jobs a backfill of a machine with `cores`/`memory_mb` free
+// starts, in order: repeatedly the first model entry that fits.
+std::vector<JobId> PredictBackfill(const WaitModel& model, const JobTable& jobs,
+                                   std::int32_t cores, std::int64_t memory_mb) {
+  std::vector<JobId> picks;
+  WaitModel left = model;
+  for (bool found = true; found;) {
+    found = false;
+    for (auto it = left.begin(); it != left.end(); ++it) {
+      const workload::JobSpec& spec = jobs.at(it->second).spec();
+      if (spec.cores <= cores && spec.memory_mb <= memory_mb) {
+        picks.push_back(it->second);
+        cores -= spec.cores;
+        memory_mb -= spec.memory_mb;
+        left.erase(it);
+        found = true;
+        break;
+      }
+    }
+  }
+  return picks;
+}
+
+std::vector<JobId> ModelOrder(const WaitModel& model) {
+  std::vector<JobId> ids;
+  for (const auto& [key, id] : model) ids.push_back(id);
+  return ids;
+}
+
+// The wait-queue suffix of the pool's canonical restore order.
+std::vector<JobId> QueueOrder(const PhysicalPool& pool) {
+  std::vector<JobId> ids;
+  pool.AppendJobsInRestoreOrder(ids);
+  const auto waiting = static_cast<std::ptrdiff_t>(pool.QueueLength());
+  return std::vector<JobId>(ids.end() - waiting, ids.end());
+}
+
+MachineArena QueueMachines(JobTable& jobs) {
+  MachineArena machines(PoolId(0), jobs);
+  for (int m = 0; m < 4; ++m) machines.Add(8, 16384, 1.0, /*owner=*/1);
+  return machines;
+}
+
+TEST_P(WaitQueueDiffTest, MatchesOrderedMapModel) {
+  Rng rng(GetParam());
+  JobTable jobs;
+  PhysicalPool pool(PoolId(0), QueueMachines(jobs), jobs,
+                    /*suspended_holds_memory=*/true);
+  WaitModel model;
+  std::uint64_t seq = 0;
+  std::vector<JobId> running;
+  JobId::ValueType next_id = 0;
+  Ticks now = 0;
+
+  const auto place = [&](Job job) {
+    const PlaceResult result = pool.TryPlace(job, now);
+    ASSERT_NE(result.outcome, PlaceOutcome::kNotEligible);
+    ASSERT_TRUE(result.suspended.empty());
+    if (result.outcome == PlaceOutcome::kQueued) {
+      model.emplace(std::pair(-job.priority(), seq++), job.id());
+    } else {
+      running.push_back(job.id());
+    }
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    now += rng.UniformInt(1, 60);
+    const double action = rng.NextDouble();
+    if (action < 0.45) {
+      Job job = jobs.Create(QueueSpec(rng, next_id++));
+      job.OnSubmitted(now);
+      place(job);
+    } else if (action < 0.7 && !model.empty()) {
+      // Dequeue the head, a middle entry, or the tail, then re-place the
+      // job the way wait-timeout rescheduling re-submits it.
+      auto it = model.begin();
+      switch (rng.UniformIndex(3)) {
+        case 0:
+          break;
+        case 1:
+          std::advance(it, static_cast<std::ptrdiff_t>(model.size() / 2));
+          break;
+        default:
+          it = std::prev(model.end());
+      }
+      Job job = jobs.at(it->second);
+      pool.RemoveFromQueue(job.id());
+      model.erase(it);
+      job.OnRestart(now, PoolId(0));
+      place(job);
+    } else if (!running.empty()) {
+      // Complete a running job: its machine backfills from the queue.
+      const std::size_t pick = rng.UniformIndex(running.size());
+      Job job = jobs.at(running[pick]);
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+      const Machine machine = pool.MachineById(job.machine());
+      const std::vector<JobId> expected = PredictBackfill(
+          model, jobs, machine.cores_free() + job.spec().cores,
+          machine.memory_free_mb() + job.spec().memory_mb);
+      const std::vector<JobId> started = pool.OnJobCompleted(job, now);
+      ASSERT_EQ(started, expected) << "step " << step;
+      for (const JobId id : started) {
+        running.push_back(id);
+        std::erase_if(model, [id](const auto& e) { return e.second == id; });
+      }
+    } else {
+      // A job waits only when nothing fits and every completion backfills,
+      // so no waiter fits any machine: an explicit backfill starts nothing.
+      const MachineId machine(
+          static_cast<MachineId::ValueType>(rng.UniformIndex(4)));
+      EXPECT_TRUE(pool.Backfill(machine, now).empty()) << "step " << step;
+    }
+    ASSERT_EQ(pool.QueueLength(), model.size()) << "step " << step;
+    ASSERT_EQ(QueueOrder(pool), ModelOrder(model)) << "step " << step;
+    if (step % 128 == 0) pool.CheckInvariants();
+  }
+  pool.CheckInvariants();
+  ASSERT_GT(model.size(), 0u);
+
+  // Restore round trip: re-materialize every parked job in a fresh arena
+  // in the canonical order; the rebuilt queue must read back identically.
+  std::vector<JobId> order;
+  pool.AppendJobsInRestoreOrder(order);
+  JobTable restored_jobs;
+  PhysicalPool restored(PoolId(0), QueueMachines(restored_jobs),
+                        restored_jobs, /*suspended_holds_memory=*/true);
+  for (const JobId id : order) {
+    const Job job = restored_jobs.RestoreJob(jobs.at(id).spec(),
+                                             jobs.CaptureImage(id));
+    if (job.state() == JobState::kRunning) {
+      restored.RestoreRunning(job);
+    } else {
+      restored.RestoreWaiting(job);
+    }
+  }
+  restored.CheckInvariants();
+  std::vector<JobId> restored_order;
+  restored.AppendJobsInRestoreOrder(restored_order);
+  EXPECT_EQ(restored_order, order);
+  EXPECT_EQ(QueueOrder(restored), ModelOrder(model));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WaitQueueDiffTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 INSTANTIATE_TEST_SUITE_P(
     Semantics, PoolStressTest,
