@@ -27,6 +27,13 @@ sim::Event MachineEvent(EventKind kind, PoolId pool, MachineId machine) {
   return event;
 }
 
+// FIFO lanes of the simulator's event queue. Both streams are scheduled in
+// time order, so neither needs the heap: the trace is sorted by
+// (submit_time, id), and every wait timeout fires one fixed policy
+// threshold after a clock that never goes backwards.
+constexpr std::size_t kArrivalLane = 0;
+constexpr std::size_t kWaitTimeoutLane = 1;
+
 sim::Event TickEvent(EventKind kind) {
   sim::Event event;
   event.kind = static_cast<std::uint16_t>(kind);
@@ -56,10 +63,12 @@ NetBatchSimulation::NetBatchSimulation(const ClusterConfig& config,
             CoreOptionsFrom(options_)),
       outage_rng_(options_.outages.seed) {
   sim_.set_dispatcher(this);
-  // Size the job index and the event heap for the trace up front so neither
-  // reallocates mid-run (duplicates spill past this; that growth is rare).
+  // Size the job index and the arrival lane for the trace up front so
+  // neither reallocates mid-run (duplicates spill past this; that growth is
+  // rare). The heap itself only ever holds the in-flight completions,
+  // restarts, outages and ticks.
   core_.ReserveJobs(trace.size());
-  sim_.Reserve(trace.size());
+  sim_.ReserveLane(kArrivalLane, trace.size());
   // The core registered the cluster gauges in its constructor; adding the
   // sim gauges here keeps the registry's snapshot order unchanged.
   pending_events_ = &core_.counters().GetGauge("sim.pending_events");
@@ -72,7 +81,8 @@ NetBatchSimulation::NetBatchSimulation(const ClusterConfig& config,
 
 void NetBatchSimulation::Run() {
   for (const Job& job : core_.jobs()) {
-    sim_.ScheduleAt(job.submit_time(), JobEvent(EventKind::kSubmit, job));
+    sim_.ScheduleFifoAt(kArrivalLane, job.submit_time(),
+                        JobEvent(EventKind::kSubmit, job));
   }
   if (options_.outages.mtbf_minutes > 0) {
     NETBATCH_CHECK(options_.outages.mttr_minutes > 0,
@@ -143,7 +153,8 @@ void NetBatchSimulation::CancelCompletion(Job job) {
 }
 
 void NetBatchSimulation::ArmWaitTimeout(Job job, Ticks threshold) {
-  sim_.ScheduleAfter(threshold, JobEvent(EventKind::kWaitTimeout, job));
+  sim_.ScheduleFifoAfter(kWaitTimeoutLane, threshold,
+                         JobEvent(EventKind::kWaitTimeout, job));
 }
 
 void NetBatchSimulation::ScheduleRestartDelivery(Job job, PoolId target,

@@ -189,7 +189,7 @@ class NetBatchSimulation final : public ClusterView,
   void Dispatch(const sim::Event& event) override;
 
   // sched::CoreHost: deferred work the core requests mid-decision becomes
-  // a typed event on the simulator heap. The hook call sites inside the
+  // a typed event on the simulator's queue. The hook call sites inside the
   // core fix the event insertion sequence (and thus tie-breaking), so the
   // extraction preserves decisions bit for bit.
   void ArmCompletion(Job job, Ticks duration) override;

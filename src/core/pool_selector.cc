@@ -9,37 +9,27 @@ std::vector<PoolId> EligibleCandidatePools(const cluster::Job& job,
                                            const cluster::ClusterView& view,
                                            bool ignore_candidate_restriction) {
   std::vector<PoolId> pools;
-  const auto& spec = job.spec();
-  if (ignore_candidate_restriction || spec.candidate_pools.empty()) {
-    pools.reserve(view.PoolCount());
-    for (std::size_t p = 0; p < view.PoolCount(); ++p) {
-      pools.emplace_back(static_cast<PoolId::ValueType>(p));
-    }
-  } else {
-    pools = spec.candidate_pools;
-  }
-  std::erase_if(pools, [&](PoolId pool) {
-    return !view.PoolEligible(pool, spec);
-  });
+  ForEachEligibleCandidate(job, view, ignore_candidate_restriction,
+                           [&](PoolId pool) { pools.push_back(pool); });
   return pools;
 }
 
 std::optional<PoolId> LowestUtilizationSelector::Select(
     const cluster::Job& job, PoolId current,
     const cluster::ClusterView& view) {
-  std::vector<PoolId> pools = EligibleCandidatePools(job, view, cross_site_);
-  if (!retain_if_current_best_) std::erase(pools, current);
-  if (pools.empty()) return std::nullopt;
-
+  bool any = false;
   PoolId best;
   double best_util = std::numeric_limits<double>::infinity();
-  for (PoolId pool : pools) {
+  ForEachEligibleCandidate(job, view, cross_site_, [&](PoolId pool) {
+    if (!retain_if_current_best_ && pool == current) return;
+    any = true;
     const double util = view.PoolUtilization(pool);
     if (util < best_util || (util == best_util && pool < best)) {
       best = pool;
       best_util = util;
     }
-  }
+  });
+  if (!any) return std::nullopt;
   if (!retain_if_current_best_) return best;
   // Retain rule: never move to a pool at least as loaded as the current one.
   // (A job without a current pool has nothing to retain in.)
@@ -53,10 +43,19 @@ std::optional<PoolId> LowestUtilizationSelector::Select(
 std::optional<PoolId> RandomSelector::Select(const cluster::Job& job,
                                              PoolId current,
                                              const cluster::ClusterView& view) {
-  std::vector<PoolId> pools = EligibleCandidatePools(job, view, cross_site_);
-  std::erase(pools, current);
-  if (pools.empty()) return std::nullopt;
-  return pools[rng_.UniformIndex(pools.size())];
+  // Count the alternates, draw once, then walk to the drawn one: the same
+  // draw and the same pick as indexing a collected list.
+  std::size_t count = 0;
+  ForEachEligibleCandidate(job, view, cross_site_, [&](PoolId pool) {
+    if (pool != current) ++count;
+  });
+  if (count == 0) return std::nullopt;
+  std::size_t skip = rng_.UniformIndex(count);
+  PoolId chosen;
+  ForEachEligibleCandidate(job, view, cross_site_, [&](PoolId pool) {
+    if (pool != current && skip-- == 0) chosen = pool;
+  });
+  return chosen;
 }
 
 std::optional<PoolId> ShortestQueueSelector::Select(

@@ -43,12 +43,32 @@ class PoolSelector {
   }
 };
 
-// Candidate pools of `job` that are eligible in `view` (helper for all
-// selectors). Includes `current` — selectors decide whether to exclude it.
-// With `ignore_candidate_restriction`, every pool in the cluster is
-// considered (inter-site rescheduling, paper §5): the job is resubmitted
-// beyond its own site's pools, typically paying a cross-site transfer cost
+// Calls `fn(pool)` for each candidate pool of `job` that is eligible in
+// `view`, in candidate order (helper for all selectors; allocates nothing).
+// Includes `current` — selectors decide whether to skip it. With
+// `ignore_candidate_restriction`, every pool in the cluster is considered
+// (inter-site rescheduling, paper §5): the job is resubmitted beyond its
+// own site's pools, typically paying a cross-site transfer cost
 // (SimulationOptions::transfer_matrix).
+template <typename Fn>
+void ForEachEligibleCandidate(const cluster::Job& job,
+                              const cluster::ClusterView& view,
+                              bool ignore_candidate_restriction, Fn&& fn) {
+  const workload::JobSpec& spec = job.spec();
+  if (ignore_candidate_restriction || spec.candidate_pools.empty()) {
+    for (std::size_t p = 0; p < view.PoolCount(); ++p) {
+      const PoolId pool(static_cast<PoolId::ValueType>(p));
+      if (view.PoolEligible(pool, spec)) fn(pool);
+    }
+  } else {
+    for (const PoolId pool : spec.candidate_pools) {
+      if (view.PoolEligible(pool, spec)) fn(pool);
+    }
+  }
+}
+
+// ForEachEligibleCandidate collected into a vector, for selectors that
+// rank the whole set.
 std::vector<PoolId> EligibleCandidatePools(
     const cluster::Job& job, const cluster::ClusterView& view,
     bool ignore_candidate_restriction = false);

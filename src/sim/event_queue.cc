@@ -6,6 +6,14 @@
 
 namespace netbatch::sim {
 
+void EventQueue::Stamp(Ticks at, Event& ev) {
+  NETBATCH_CHECK(at >= 0 && at <= 0xffffffff,
+                 "event time outside the queue's 2^32-tick range");
+  NETBATCH_CHECK(next_seq_ <= 0xffffffffu, "event sequence counter wrapped");
+  ev.time = at;
+  ev.seq = next_seq_++;
+}
+
 EventSeq EventQueue::Schedule(Ticks at, Event ev) {
   std::uint32_t idx;
   if (!free_.empty()) {
@@ -18,18 +26,66 @@ EventSeq EventQueue::Schedule(Ticks at, Event ev) {
     payloads_.emplace_back();
     meta_.push_back(0);
   }
-  NETBATCH_CHECK(at >= 0 && at <= 0xffffffff,
-                 "event time outside the queue's 2^32-tick range");
-  NETBATCH_CHECK(next_seq_ <= 0xffffffffu, "event sequence counter wrapped");
-  ev.time = at;
-  ev.seq = next_seq_++;
+  Stamp(at, ev);
   ev.handle = idx;
   payloads_[idx] = ev;
-  PushKey(Key{(static_cast<std::uint64_t>(at) << 32) |
-                  static_cast<std::uint32_t>(ev.seq),
-              idx});
+  PushKey(Key{Rank(at, ev.seq), idx});
   ++live_;
+  ++heap_live_;
   return (static_cast<EventSeq>(meta_[idx] >> 1) << 32) | idx;
+}
+
+EventSeq EventQueue::ScheduleFifo(std::size_t lane_index, Ticks at, Event ev) {
+  NETBATCH_CHECK(lane_index < kLaneCount, "unknown event lane");
+  Lane& lane = lanes_[lane_index];
+  // Appending keeps the lane in rank order as long as `at` is not earlier
+  // than the newest queued event (a later seq breaks the tie); anything
+  // else would need a sift, which is what the heap is for.
+  if (lane.count > 0 && at < lane.back_time) {
+    ++lane_fallbacks_;
+    return Schedule(at, ev);
+  }
+  Stamp(at, ev);
+  ev.handle = kLaneHandle;
+  lane.Push(ev);
+  ++live_;
+  return kNoEvent;
+}
+
+void EventQueue::Lane::Push(const Event& ev) {
+  const std::size_t capacity = ring.capacity();
+  if (count == capacity) Grow(std::max<std::size_t>(16, 2 * capacity));
+  std::size_t tail = head + count;
+  if (tail >= ring.capacity()) tail -= ring.capacity();
+  // Slots past ring.size() have never held an event; appending constructs
+  // them only when first reached, so a large ReserveLane() touches no
+  // memory up front.
+  if (tail == ring.size()) {
+    ring.push_back(ev);
+  } else {
+    ring[tail] = ev;
+  }
+  if (count++ == 0) head_rank = Rank(ev.time, ev.seq);
+  back_time = ev.time;
+}
+
+Event EventQueue::Lane::PopFront() {
+  const Event out = ring[head];
+  if (++head == ring.capacity()) head = 0;
+  head_rank = --count == 0 ? kNoRank : Rank(ring[head].time, ring[head].seq);
+  return out;
+}
+
+void EventQueue::Lane::Grow(std::size_t capacity) {
+  std::vector<Event> next;
+  next.reserve(capacity);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t from = head + i;
+    if (from >= ring.capacity()) from -= ring.capacity();
+    next.push_back(ring[from]);
+  }
+  ring = std::move(next);
+  head = 0;
 }
 
 std::optional<Event> EventQueue::Cancel(EventSeq handle) {
@@ -42,26 +98,49 @@ std::optional<Event> EventQueue::Cancel(EventSeq handle) {
   const Event removed = payloads_[idx];
   meta_[idx] |= kCancelledBit;
   --live_;
+  --heap_live_;
   ++cancelled_in_heap_;
   MaybeCompact();
   return removed;
 }
 
+std::size_t EventQueue::EarliestSource() {
+  std::uint64_t best_rank = kNoRank;
+  // With every heap key cancelled the heap has no top worth looking at (and
+  // shedding would run off its end), however many lane events are live.
+  if (heap_live_ > 0) {
+    if (cancelled_in_heap_ > 0) DropCancelledTop();
+    best_rank = heap_[kRoot].rank;
+  }
+  std::size_t best = kLaneCount;
+  for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
+    if (lanes_[lane].head_rank < best_rank) {
+      best = lane;
+      best_rank = lanes_[lane].head_rank;
+    }
+  }
+  return best;
+}
+
 Ticks EventQueue::PeekTime() {
   NETBATCH_CHECK(live_ > 0, "PeekTime() on empty event queue");
-  if (cancelled_in_heap_ > 0) DropCancelledTop();
-  return static_cast<Ticks>(heap_[kRoot].rank >> 32);
+  const std::size_t source = EarliestSource();
+  const std::uint64_t rank =
+      source == kLaneCount ? heap_[kRoot].rank : lanes_[source].head_rank;
+  return static_cast<Ticks>(rank >> 32);
 }
 
 Event EventQueue::Pop() {
   NETBATCH_CHECK(live_ > 0, "Pop() on empty event queue");
-  if (cancelled_in_heap_ > 0) DropCancelledTop();
+  const std::size_t source = EarliestSource();
+  --live_;
+  if (source < kLaneCount) return lanes_[source].PopFront();
   // Overlap the payload fetch with the sift-down the key pop is about to do.
   __builtin_prefetch(&payloads_[heap_[kRoot].handle]);
   const Key top = PopTopKey();
   const Event out = payloads_[top.handle];
   ReleaseHandle(top.handle);
-  --live_;
+  --heap_live_;
   return out;
 }
 
@@ -98,7 +177,7 @@ void EventQueue::ReleaseHandle(std::uint32_t handle) {
 }
 
 void EventQueue::MaybeCompact() {
-  if (cancelled_in_heap_ <= live_ || heap_.size() - kRoot < 64) return;
+  if (cancelled_in_heap_ <= heap_live_ || heap_.size() - kRoot < 64) return;
   std::size_t kept = kRoot;
   for (std::size_t slot = kRoot; slot < heap_.size(); ++slot) {
     const Key key = heap_[slot];
@@ -128,8 +207,17 @@ void EventQueue::Reserve(std::size_t events) {
   free_.reserve(events);
 }
 
+void EventQueue::ReserveLane(std::size_t lane, std::size_t events) {
+  NETBATCH_CHECK(lane < kLaneCount, "unknown event lane");
+  if (events > lanes_[lane].ring.capacity()) lanes_[lane].Grow(events);
+}
+
 std::size_t EventQueue::MemoryFootprintBytes() const {
-  return heap_.capacity() * sizeof(Key) +
+  std::size_t lane_bytes = 0;
+  for (const Lane& lane : lanes_) {
+    lane_bytes += lane.ring.capacity() * sizeof(Event);
+  }
+  return lane_bytes + heap_.capacity() * sizeof(Key) +
          payloads_.capacity() * sizeof(Event) +
          meta_.capacity() * sizeof(std::uint32_t) +
          free_.capacity() * sizeof(std::uint32_t);

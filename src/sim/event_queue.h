@@ -15,6 +15,13 @@
 // whenever cancelled entries outnumber live ones, so memory stays
 // proportional to the high-water number of *live* events — not the total
 // scheduled — even under heavy schedule/cancel churn.
+//
+// Streams whose times never go backwards (trace arrivals, fixed-threshold
+// re-checks) can bypass the heap through a FIFO lane: ScheduleFifo() appends
+// to a ring, and Pop() takes the smallest (time, seq) rank among the heap
+// top and the lane heads. A lane event draws its seq from the same counter
+// as Schedule(), so it fires exactly where it would have fired from the
+// heap; an event that would break the lane's order goes to the heap instead.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +54,8 @@ struct Event {
   PoolId pool;
   MachineId machine;
   std::uint32_t aux = 0;      // free-form operand (e.g. a callback slot)
-  std::uint32_t handle = 0;   // payload-table index (set by the queue)
+  std::uint32_t handle = 0;   // payload-table index, or kLaneHandle for a
+                              // lane event (set by the queue)
   std::uint16_t kind = 0;     // dispatcher-defined event type
 };
 static_assert(std::is_trivially_copyable_v<Event>,
@@ -72,12 +80,23 @@ struct CacheAlignedAllocator {
   bool operator==(const CacheAlignedAllocator&) const { return true; }
 };
 
-// A flat 4-ary min-heap of event keys, keyed by (time, seq).
+// A flat 4-ary min-heap of event keys, keyed by (time, seq), plus
+// kLaneCount FIFO lanes for in-order streams.
 class EventQueue {
  public:
+  static constexpr std::size_t kLaneCount = 2;
+  // Event::handle of an event that was queued on a lane.
+  static constexpr std::uint32_t kLaneHandle = 0xffffffffu;
+
   // Schedules `ev` at absolute time `at`; returns a handle for Cancel().
   // `ev.time`, `ev.seq`, and `ev.handle` are overwritten by the queue.
   EventSeq Schedule(Ticks at, Event ev);
+
+  // Schedules `ev` on FIFO lane `lane` when `at` is no earlier than the
+  // lane's newest event; the event then fires exactly where Schedule() would
+  // have put it, but cannot be cancelled (returns kNoEvent). Otherwise the
+  // event falls back to Schedule() and its handle is returned.
+  EventSeq ScheduleFifo(std::size_t lane, Ticks at, Event ev);
 
   // Logically removes a pending event and returns it. Cancelling an
   // already-fired, cancelled, or unknown handle is a no-op (nullopt).
@@ -95,6 +114,12 @@ class EventQueue {
 
   // Pre-sizes internal storage for `events` simultaneously-live events.
   void Reserve(std::size_t events);
+
+  // Pre-sizes lane `lane` for `events` simultaneously-queued events.
+  void ReserveLane(std::size_t lane, std::size_t events);
+
+  // ScheduleFifo() calls that fell back to the heap.
+  std::uint64_t LaneFallbacks() const { return lane_fallbacks_; }
 
   // Bytes of internal storage currently held. Regression tests use this to
   // assert memory stays proportional to live events under cancel churn.
@@ -126,6 +151,33 @@ class EventQueue {
   // unambiguous.
   static constexpr std::uint32_t kCancelledBit = 1;
 
+  // Rank of an empty source; larger than any real (time << 32 | seq).
+  static constexpr std::uint64_t kNoRank = ~std::uint64_t{0};
+
+  // A FIFO lane: a ring of whole events (no key, no handle) in rank order.
+  // `head_rank` caches the front event's rank (kNoRank when empty) so Pop()
+  // compares sources without touching the ring.
+  struct Lane {
+    // Slots [0, ring.capacity()); only [0, ring.size()) were ever written.
+    std::vector<Event> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    std::uint64_t head_rank = kNoRank;
+    Ticks back_time = 0;      // time of the newest queued event
+
+    void Push(const Event& ev);
+    Event PopFront();
+    void Grow(std::size_t capacity);
+  };
+
+  static std::uint64_t Rank(Ticks at, std::uint64_t seq) {
+    return (static_cast<std::uint64_t>(at) << 32) |
+           static_cast<std::uint32_t>(seq);
+  }
+  // Stamps `ev` with its time and the next sequence number.
+  void Stamp(Ticks at, Event& ev);
+  // The lane holding the earliest live event, or kLaneCount for the heap.
+  std::size_t EarliestSource();
 
   bool Cancelled(std::uint32_t handle) const {
     return (meta_[handle] & kCancelledBit) != 0;
@@ -148,8 +200,11 @@ class EventQueue {
   std::vector<Event> payloads_;      // indexed by handle; high-water sized
   std::vector<std::uint32_t> meta_;  // generation<<1 | cancelled
   std::vector<std::uint32_t> free_;  // recycled handle-table indices
-  std::size_t live_ = 0;
+  Lane lanes_[kLaneCount];
+  std::size_t live_ = 0;       // live events in the heap and the lanes
+  std::size_t heap_live_ = 0;  // live (uncancelled) keys in the heap
   std::size_t cancelled_in_heap_ = 0;
+  std::uint64_t lane_fallbacks_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -17,6 +17,20 @@ EventSeq Simulator::ScheduleAfter(Ticks delay, const Event& event) {
   return ScheduleAt(now_ + delay, event);
 }
 
+EventSeq Simulator::ScheduleFifoAt(std::size_t lane, Ticks at,
+                                   const Event& event) {
+  NETBATCH_CHECK(at >= now_, "cannot schedule an event in the past");
+  NETBATCH_CHECK(event.kind != kCallbackKind,
+                 "kind 0xffff is reserved for callback events");
+  return queue_.ScheduleFifo(lane, at, event);
+}
+
+EventSeq Simulator::ScheduleFifoAfter(std::size_t lane, Ticks delay,
+                                      const Event& event) {
+  NETBATCH_CHECK(delay >= 0, "negative event delay");
+  return ScheduleFifoAt(lane, now_ + delay, event);
+}
+
 std::uint32_t Simulator::AcquireCallbackSlot(std::function<void()> fn) {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();

@@ -4,10 +4,10 @@
 // POD events, the driver pops them in deterministic (time, seq) order and
 // hands each to the EventDispatcher, which switches on Event::kind. The hot
 // path never allocates: an event is 48 bytes copied by value through a flat
-// heap.
+// heap, or through a FIFO lane for streams scheduled in time order.
 //
-// For code that genuinely needs an ad-hoc closure (tests, periodic
-// samplers), ScheduleAt/ScheduleAfter also accept a one-shot
+// For code that genuinely needs an ad-hoc closure (tests that inject a
+// mid-run hook), ScheduleAt/ScheduleAfter also accept a one-shot
 // std::function<void()>; those are parked in a slot-recycled side table and
 // never reach the dispatcher. The engine's per-event path does not use them.
 #pragma once
@@ -52,7 +52,15 @@ class Simulator {
   // Schedules a typed event `delay` ticks from now (delay >= 0).
   EventSeq ScheduleAfter(Ticks delay, const Event& event);
 
-  // One-shot callback convenience (tests, samplers): `fn` fires once at the
+  // Like ScheduleAt/ScheduleAfter, but queues the event on FIFO lane `lane`
+  // (< EventQueue::kLaneCount) when it is not earlier than the lane's newest
+  // event. Firing order is unchanged; see EventQueue::ScheduleFifo. A lane
+  // event cannot be cancelled (kNoEvent is returned for it).
+  EventSeq ScheduleFifoAt(std::size_t lane, Ticks at, const Event& event);
+  EventSeq ScheduleFifoAfter(std::size_t lane, Ticks delay,
+                             const Event& event);
+
+  // One-shot callback convenience (tests): `fn` fires once at the
   // given time. The callback is stored in a recycled slot, so steady-state
   // use does not grow memory.
   EventSeq ScheduleAt(Ticks at, std::function<void()> fn);
@@ -74,6 +82,11 @@ class Simulator {
   // Pre-sizes the event heap (e.g. for the trace size).
   void Reserve(std::size_t events) { queue_.Reserve(events); }
 
+  // Pre-sizes FIFO lane `lane` (e.g. the arrival lane for the trace size).
+  void ReserveLane(std::size_t lane, std::size_t events) {
+    queue_.ReserveLane(lane, events);
+  }
+
   // Time of the earliest live event, or nullopt when the queue is empty.
   // Non-const because peeking lazily drops cancelled heap tops. Used by the
   // sharded coordinator to size conservative sync windows.
@@ -87,6 +100,8 @@ class Simulator {
   std::size_t QueueMemoryBytes() const {
     return queue_.MemoryFootprintBytes();
   }
+  // ScheduleFifo* calls that had to fall back to the heap.
+  std::uint64_t LaneFallbacks() const { return queue_.LaneFallbacks(); }
 
  private:
   std::uint32_t AcquireCallbackSlot(std::function<void()> fn);

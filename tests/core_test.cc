@@ -2,7 +2,12 @@
 // policy factory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
 #include "cluster/job_table.h"
+#include "common/rng.h"
 #include "core/policies.h"
 #include "core/pool_selector.h"
 
@@ -128,6 +133,127 @@ TEST(RandomSelectorTest, RetainsWhenNoAlternateExists) {
   RandomSelector selector(7);
   const cluster::Job job = MakeJob();
   EXPECT_FALSE(selector.Select(job, PoolId(0), view).has_value());
+}
+
+// Reference copies of the selectors as they were before selection became
+// allocation-free: collect the eligible candidates into a vector, then
+// choose from it.
+std::vector<PoolId> ReferenceEligiblePools(const cluster::Job& job,
+                                           const cluster::ClusterView& view,
+                                           bool ignore_candidate_restriction) {
+  std::vector<PoolId> pools;
+  const auto& spec = job.spec();
+  if (ignore_candidate_restriction || spec.candidate_pools.empty()) {
+    for (std::size_t p = 0; p < view.PoolCount(); ++p) {
+      pools.emplace_back(static_cast<PoolId::ValueType>(p));
+    }
+  } else {
+    pools = spec.candidate_pools;
+  }
+  std::erase_if(pools, [&](PoolId pool) {
+    return !view.PoolEligible(pool, spec);
+  });
+  return pools;
+}
+
+std::optional<PoolId> ReferenceLowestUtilization(
+    const cluster::Job& job, PoolId current, const cluster::ClusterView& view,
+    bool retain_if_current_best, bool cross_site) {
+  std::vector<PoolId> pools = ReferenceEligiblePools(job, view, cross_site);
+  if (!retain_if_current_best) std::erase(pools, current);
+  if (pools.empty()) return std::nullopt;
+  PoolId best;
+  double best_util = std::numeric_limits<double>::infinity();
+  for (PoolId pool : pools) {
+    const double util = view.PoolUtilization(pool);
+    if (util < best_util || (util == best_util && pool < best)) {
+      best = pool;
+      best_util = util;
+    }
+  }
+  if (!retain_if_current_best) return best;
+  if (best == current ||
+      (current.valid() && view.PoolUtilization(current) <= best_util)) {
+    return std::nullopt;
+  }
+  return best;
+}
+
+std::optional<PoolId> ReferenceRandom(Rng& rng, const cluster::Job& job,
+                                      PoolId current,
+                                      const cluster::ClusterView& view,
+                                      bool cross_site) {
+  std::vector<PoolId> pools = ReferenceEligiblePools(job, view, cross_site);
+  std::erase(pools, current);
+  if (pools.empty()) return std::nullopt;
+  return pools[rng.UniformIndex(pools.size())];
+}
+
+std::vector<std::uint8_t> RngStateBytes(const Rng& rng) {
+  std::vector<std::uint8_t> out;
+  for (const std::uint64_t word : rng.SaveState()) {
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+    }
+  }
+  return out;
+}
+
+// The in-place selectors choose exactly what the collecting ones chose, and
+// RandomSelector consumes the same draws, over random views with tied
+// utilizations, ineligible pools, empty, explicit and repeating candidate
+// lists, both retain modes, both site modes, and an invalid current pool.
+TEST(SelectorEquivalenceTest, InPlaceSelectionMatchesCollectingReference) {
+  Rng gen(31);
+  constexpr std::uint64_t kSeed = 77;
+  std::array<RandomSelector, 2> random = {RandomSelector(kSeed, false),
+                                          RandomSelector(kSeed, true)};
+  std::array<Rng, 2> reference_rng = {Rng(kSeed), Rng(kSeed)};
+  constexpr std::array<double, 4> kUtilLevels = {0.0, 0.25, 0.5, 1.0};
+  int moves = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    const std::size_t pool_count = 1 + gen.UniformIndex(7);
+    FakeView view(pool_count);
+    for (std::size_t p = 0; p < pool_count; ++p) {
+      view.utilization_[p] = kUtilLevels[gen.UniformIndex(kUtilLevels.size())];
+      view.eligible_[p] = gen.Bernoulli(0.75);
+    }
+    std::vector<PoolId> candidates;
+    if (gen.Bernoulli(0.5)) {
+      const std::size_t n = 1 + gen.UniformIndex(pool_count + 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        candidates.emplace_back(
+            static_cast<PoolId::ValueType>(gen.UniformIndex(pool_count)));
+      }
+    }
+    const cluster::Job job = MakeJob(candidates);
+    const PoolId current =
+        gen.Bernoulli(0.15)
+            ? PoolId()
+            : PoolId(static_cast<PoolId::ValueType>(
+                  gen.UniformIndex(pool_count)));
+    for (const bool cross_site : {false, true}) {
+      ASSERT_EQ(EligibleCandidatePools(job, view, cross_site),
+                ReferenceEligiblePools(job, view, cross_site));
+      for (const bool retain : {false, true}) {
+        LowestUtilizationSelector lowest(retain, cross_site);
+        const std::optional<PoolId> got = lowest.Select(job, current, view);
+        ASSERT_EQ(got, ReferenceLowestUtilization(job, current, view, retain,
+                                                  cross_site))
+            << "trial " << trial;
+        if (got.has_value()) ++moves;
+      }
+      const std::size_t r = cross_site ? 1 : 0;
+      ASSERT_EQ(random[r].Select(job, current, view),
+                ReferenceRandom(reference_rng[r], job, current, view,
+                                cross_site))
+          << "trial " << trial;
+      std::vector<std::uint8_t> state;
+      random[r].ExportState(state);
+      ASSERT_EQ(state, RngStateBytes(reference_rng[r])) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(moves, 0);
 }
 
 TEST(ShortestQueueSelectorTest, PicksShortestQueue) {

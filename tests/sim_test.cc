@@ -1,12 +1,13 @@
 // Unit tests for the discrete-event core: typed event queue ordering and
-// cancellation, simulator clock/dispatch semantics, periodic sampling.
+// cancellation, FIFO lanes, simulator clock/dispatch semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "sim/event_queue.h"
-#include "sim/sampler.h"
 #include "sim/simulator.h"
 
 namespace netbatch::sim {
@@ -182,6 +183,169 @@ class RecordingDispatcher : public EventDispatcher {
   std::vector<Event> events;
 };
 
+// Once lanes exist, live events no longer imply a live heap key: with
+// every heap event cancelled and a lane still holding events, the queue
+// must not go looking for a live heap top (it would shed keys past the end
+// of the heap). Covers both the lingering-keys case (< 64 keys, no
+// compaction) and the compacted case.
+TEST(EventQueueTest, CancelAllHeapEventsWithLaneNonEmpty) {
+  for (const int heap_events : {3, 100}) {
+    EventQueue queue;
+    std::vector<EventSeq> heap;
+    for (int i = 0; i < heap_events; ++i) {
+      heap.push_back(queue.Schedule(5 + i, Tagged(1)));
+    }
+    EXPECT_EQ(queue.ScheduleFifo(0, 500, Tagged(2, 7)), kNoEvent);
+    for (const EventSeq handle : heap) {
+      ASSERT_TRUE(queue.Cancel(handle).has_value());
+    }
+    EXPECT_EQ(queue.LiveCount(), 1u);
+    EXPECT_EQ(queue.PeekTime(), 500);
+    const Event lane_event = queue.Pop();
+    EXPECT_EQ(lane_event.kind, 2);
+    EXPECT_EQ(lane_event.aux, 7u);
+    EXPECT_TRUE(queue.Empty());
+    // Both sources keep working afterwards.
+    queue.Schedule(900, Tagged(3));
+    queue.ScheduleFifo(1, 800, Tagged(4));
+    EXPECT_EQ(queue.Pop().kind, 4);
+    EXPECT_EQ(queue.Pop().kind, 3);
+    EXPECT_TRUE(queue.Empty());
+  }
+}
+
+TEST(EventQueueTest, LaneEventsKeepTheirHeapRank) {
+  EventQueue queue;
+  queue.ScheduleFifo(0, 10, Tagged(1));  // seq 0
+  queue.Schedule(10, Tagged(2));         // seq 1
+  queue.ScheduleFifo(1, 10, Tagged(3));  // seq 2
+  queue.ScheduleFifo(0, 10, Tagged(4));  // seq 3
+  queue.Schedule(5, Tagged(5));          // seq 4
+  std::vector<int> fired;
+  while (!queue.Empty()) fired.push_back(queue.Pop().kind);
+  EXPECT_EQ(fired, (std::vector<int>{5, 1, 2, 3, 4}));
+  EXPECT_EQ(queue.LaneFallbacks(), 0u);
+}
+
+TEST(EventQueueTest, OutOfOrderLaneEventFallsBackToTheHeap) {
+  EventQueue queue;
+  queue.ScheduleFifo(0, 50, Tagged(1));
+  // Earlier than the lane's newest event: queued on the heap, cancellable.
+  const EventSeq handle = queue.ScheduleFifo(0, 20, Tagged(2));
+  EXPECT_NE(handle, kNoEvent);
+  EXPECT_EQ(queue.LaneFallbacks(), 1u);
+  queue.ScheduleFifo(0, 30, Tagged(3));  // still behind 50: heap again
+  EXPECT_EQ(queue.LaneFallbacks(), 2u);
+  std::vector<int> fired;
+  while (!queue.Empty()) fired.push_back(queue.Pop().kind);
+  EXPECT_EQ(fired, (std::vector<int>{2, 3, 1}));
+  // An empty lane takes any time.
+  queue.ScheduleFifo(0, 10, Tagged(4));
+  EXPECT_EQ(queue.LaneFallbacks(), 2u);
+}
+
+// The lanes are an optimisation, not a semantics change: a queue fed
+// through two lanes (including times that must fall back to the heap) pops
+// exactly what a heap-only queue given the same operations pops.
+TEST(EventQueueTest, LanesMatchHeapOnlyQueueUnderRandomOperations) {
+  EventQueue reference;
+  EventQueue laned;
+  Rng rng(2024);
+  struct HeapHandles {
+    EventSeq reference;
+    EventSeq laned;
+  };
+  std::vector<HeapHandles> cancellable;
+  Ticks now = 0;
+  Ticks lane_time[EventQueue::kLaneCount] = {0, 0};
+  std::uint32_t next_id = 0;
+  auto same_state = [&] {
+    ASSERT_EQ(reference.LiveCount(), laned.LiveCount());
+    ASSERT_EQ(reference.Empty(), laned.Empty());
+  };
+  for (int step = 0; step < 200'000; ++step) {
+    const int op = static_cast<int>(rng.UniformInt(0, 99));
+    if (op < 35) {
+      // An in-order stream event; 1 in 20 deliberately runs behind.
+      const std::size_t lane = rng.UniformIndex(EventQueue::kLaneCount);
+      Ticks at;
+      if (rng.Bernoulli(0.05)) {
+        at = std::max(now, lane_time[lane] - rng.UniformInt(1, 20));
+      } else {
+        lane_time[lane] =
+            std::max(now, lane_time[lane]) + rng.UniformInt(0, 4);
+        at = lane_time[lane];
+      }
+      const Event ev =
+          Tagged(static_cast<std::uint16_t>(10 + lane), next_id++);
+      reference.Schedule(at, ev);
+      laned.ScheduleFifo(lane, at, ev);
+    } else if (op < 60) {
+      const Ticks at = now + rng.UniformInt(0, 60);
+      const Event ev = Tagged(1, next_id++);
+      cancellable.push_back(
+          {reference.Schedule(at, ev), laned.Schedule(at, ev)});
+    } else if (op < 70) {
+      if (!cancellable.empty()) {
+        const std::size_t victim = rng.UniformIndex(cancellable.size());
+        const std::optional<Event> a =
+            reference.Cancel(cancellable[victim].reference);
+        const std::optional<Event> b =
+            laned.Cancel(cancellable[victim].laned);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a.has_value()) {
+          EXPECT_EQ(a->seq, b->seq);
+          EXPECT_EQ(a->aux, b->aux);
+        }
+        cancellable[victim] = cancellable.back();
+        cancellable.pop_back();
+      }
+    } else if (op < 80) {
+      if (!reference.Empty()) {
+        ASSERT_EQ(reference.PeekTime(), laned.PeekTime()) << "step " << step;
+      }
+    } else if (!reference.Empty()) {
+      const Event a = reference.Pop();
+      const Event b = laned.Pop();
+      ASSERT_EQ(a.time, b.time) << "step " << step;
+      ASSERT_EQ(a.seq, b.seq) << "step " << step;
+      ASSERT_EQ(a.kind, b.kind) << "step " << step;
+      ASSERT_EQ(a.aux, b.aux) << "step " << step;
+      now = a.time;
+    }
+    ASSERT_NO_FATAL_FAILURE(same_state()) << "step " << step;
+  }
+  while (!reference.Empty()) {
+    ASSERT_FALSE(laned.Empty());
+    const Event a = reference.Pop();
+    const Event b = laned.Pop();
+    ASSERT_EQ(a.seq, b.seq);
+    ASSERT_EQ(a.aux, b.aux);
+  }
+  EXPECT_TRUE(laned.Empty());
+  EXPECT_GT(laned.LaneFallbacks(), 0u);
+}
+
+// Lane storage is a ring: a long stream with few events queued at a time
+// reuses the same slots instead of growing with the total streamed.
+TEST(EventQueueTest, LaneStreamKeepsMemoryBounded) {
+  EventQueue queue;
+  constexpr int kStream = 1'000'000;
+  for (int i = 0; i < kStream; ++i) {
+    queue.ScheduleFifo(0, i / 3, Tagged(1));
+    if (queue.LiveCount() == 64) queue.Pop();
+  }
+  EXPECT_EQ(queue.LaneFallbacks(), 0u);
+  EXPECT_GT(queue.MemoryFootprintBytes(), 0u);  // the ring is counted
+  EXPECT_LT(queue.MemoryFootprintBytes(), 64u * 1024u);
+  Ticks last = -1;
+  while (!queue.Empty()) {
+    const Event ev = queue.Pop();
+    EXPECT_GE(ev.time, last);
+    last = ev.time;
+  }
+}
+
 TEST(SimulatorTest, TypedEventsReachDispatcherInOrder) {
   Simulator sim;
   RecordingDispatcher dispatcher;
@@ -217,6 +381,24 @@ TEST(SimulatorTest, TypedAndCallbackEventsShareOneDeterministicOrder) {
   ASSERT_EQ(dispatcher.events.size(), 2u);
   EXPECT_EQ(dispatcher.events[0].kind, 1);
   EXPECT_EQ(dispatcher.events[1].kind, 2);
+}
+
+// Lane events reach the dispatcher in the same (time, seq) order as heap
+// events scheduled around them.
+TEST(SimulatorTest, LaneAndHeapEventsShareOneDeterministicOrder) {
+  Simulator sim;
+  RecordingDispatcher dispatcher;
+  sim.set_dispatcher(&dispatcher);
+  sim.ScheduleFifoAt(0, 5, Tagged(1));
+  sim.ScheduleAt(5, Tagged(2));
+  sim.ScheduleFifoAfter(1, 5, Tagged(3));
+  sim.ScheduleAt(3, Tagged(4));
+  sim.RunToCompletion();
+  std::vector<int> kinds;
+  for (const Event& ev : dispatcher.events) kinds.push_back(ev.kind);
+  EXPECT_EQ(kinds, (std::vector<int>{4, 1, 2, 3}));
+  EXPECT_EQ(sim.FiredEvents(), 4u);
+  EXPECT_EQ(sim.LaneFallbacks(), 0u);
 }
 
 TEST(SimulatorTest, CancelledCallbackSlotIsRecycled) {
@@ -281,76 +463,6 @@ TEST(SimulatorTest, EventsScheduledDuringRunAreProcessed) {
   sim.RunToCompletion();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.Now(), 4);
-}
-
-TEST(SamplerTest, FiresOnFixedPeriod) {
-  Simulator sim;
-  std::vector<Ticks> samples;
-  PeriodicSampler sampler(sim, 0, 60, [&](Ticks now) { samples.push_back(now); });
-  sim.ScheduleAt(250, [] {});
-  sim.RunUntil(250);
-  ASSERT_GE(samples.size(), 5u);
-  EXPECT_EQ(samples[0], 0);
-  EXPECT_EQ(samples[1], 60);
-  EXPECT_EQ(samples[4], 240);
-  EXPECT_EQ(sampler.samples_taken(),
-            static_cast<std::int64_t>(samples.size()));
-}
-
-TEST(SamplerTest, StopWhenEndsSampling) {
-  Simulator sim;
-  int samples = 0;
-  PeriodicSampler sampler(sim, 0, 10, [&](Ticks) { ++samples; });
-  sampler.StopWhen([](Ticks now) { return now >= 50; });
-  sim.RunToCompletion();
-  EXPECT_EQ(samples, 6);  // t = 0, 10, 20, 30, 40, 50
-}
-
-TEST(SamplerTest, ManualStopCancelsPendingSample) {
-  Simulator sim;
-  int samples = 0;
-  PeriodicSampler sampler(sim, 5, 10, [&](Ticks) { ++samples; });
-  sim.ScheduleAt(17, [&] { sampler.Stop(); });
-  sim.RunToCompletion();
-  EXPECT_EQ(samples, 2);  // t = 5, 15; the t = 25 sample was cancelled
-}
-
-TEST(SamplerTest, StopIsIdempotent) {
-  Simulator sim;
-  int samples = 0;
-  PeriodicSampler sampler(sim, 5, 10, [&](Ticks) { ++samples; });
-  sim.ScheduleAt(7, [&] {
-    sampler.Stop();
-    sampler.Stop();  // the second stop must be a no-op, not a double cancel
-  });
-  sim.RunToCompletion();
-  EXPECT_EQ(samples, 1);
-}
-
-TEST(SamplerTest, StopAfterPredicateStopLeavesRecycledEventsAlone) {
-  Simulator sim;
-  PeriodicSampler sampler(sim, 0, 10, [](Ticks) {});
-  sampler.StopWhen([](Ticks) { return true; });  // stops at the t = 0 fire
-  bool fired = false;
-  sim.ScheduleAt(5, [&] {
-    // The sampler stopped itself at t = 0 and its event slot is free; the
-    // t = 10 event below may recycle it. A redundant Stop() must not cancel
-    // whatever now occupies that slot — the exact stale-handle bug this
-    // suite pins down.
-    sim.ScheduleAt(10, [&] { fired = true; });
-    sampler.Stop();
-  });
-  sim.RunToCompletion();
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(sampler.samples_taken(), 1);
-}
-
-TEST(SamplerDeathTest, StopWhenOnAStoppedSamplerIsAProgrammingError) {
-  Simulator sim;
-  PeriodicSampler sampler(sim, 5, 10, [](Ticks) {});
-  sampler.Stop();
-  EXPECT_DEATH(sampler.StopWhen([](Ticks) { return true; }),
-               "StopWhen on a stopped PeriodicSampler");
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include "cluster/simulation.h"
 #include "core/policies.h"
+#include "runner/parse.h"
 #include "sched/round_robin.h"
+#include "workload/generator.h"
 
 namespace netbatch::cluster {
 namespace {
@@ -278,6 +280,32 @@ TEST(SimulationTest, WaitTimeoutRearmsWhenPolicyDeclines) {
   const Job& second = sim.jobs().at(JobId(1));
   EXPECT_EQ(second.wait_ticks(), MinutesToTicks(60));
   EXPECT_EQ(second.completion_time(), MinutesToTicks(70));
+}
+
+// Arrivals and wait-timeout second chances are in-order streams, so on the
+// paper presets every one of them rides its FIFO lane: none falls back to
+// the event heap.
+TEST(SimulationTest, PaperPresetStreamsNeverFallBackToTheHeap) {
+  struct WaitMoves final : SimulationObserver {
+    int count = 0;
+    void OnJobRescheduled(const Job&, PoolId, PoolId,
+                          RescheduleReason reason) override {
+      if (reason == RescheduleReason::kWaitTimeout) ++count;
+    }
+  };
+  for (const char* preset : {"normal", "high", "highsusp"}) {
+    const runner::Scenario scenario =
+        runner::ResolveScenario(preset, 0.05, 3);
+    const workload::Trace trace = workload::GenerateTrace(scenario.workload);
+    sched::RoundRobinScheduler scheduler;
+    const auto policy = core::MakePolicy(core::PolicyKind::kResSusWaitUtil);
+    NetBatchSimulation sim(scenario.cluster, trace, scheduler, *policy);
+    WaitMoves wait_moves;
+    sim.AddObserver(&wait_moves);
+    sim.Run();
+    EXPECT_GT(wait_moves.count, 0) << preset;  // wait timeouts did fire
+    EXPECT_EQ(sim.simulator().LaneFallbacks(), 0u) << preset;
+  }
 }
 
 TEST(SimulationTest, CandidatePoolsAreRespected) {
