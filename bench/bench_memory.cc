@@ -16,7 +16,7 @@
 #include <new>
 #include <vector>
 
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "cluster/machine.h"
 #include "cluster/pool.h"
 #include "common/check.h"
@@ -59,7 +59,7 @@ static unsigned long long WaitQueueAllocations(std::size_t cycles) {
   constexpr std::size_t kMachines = 4;
   constexpr std::int32_t kCores = 8;
   constexpr std::size_t kWindow = 1000;  // jobs waiting at once
-  JobTable jobs;
+  JobArena jobs;
   jobs.Reserve(cycles + kMachines);
   MachineArena machines(PoolId(0), jobs);
   for (std::size_t m = 0; m < kMachines; ++m) machines.Add(kCores, 32768, 1.0);
@@ -114,7 +114,7 @@ int main() {
   // --- 1M machines in pools of 40k (the paper's pool scale) ---------------
   constexpr std::size_t kMachines = 1'000'000;
   constexpr std::size_t kPerPool = 40'000;
-  JobTable dummy_jobs;
+  JobArena dummy_jobs;
   std::vector<std::unique_ptr<PhysicalPool>> pools;
   for (std::size_t base = 0; base < kMachines; base += kPerPool) {
     const PoolId pool_id(static_cast<PoolId::ValueType>(base / kPerPool));
@@ -133,7 +133,7 @@ int main() {
 
   // --- 10M job slots ------------------------------------------------------
   constexpr std::size_t kJobs = 10'000'000;
-  JobTable jobs;
+  JobArena jobs;
   jobs.Reserve(kJobs);
   g_allocs = 0;
   g_alloc_bytes = 0;

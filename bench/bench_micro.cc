@@ -91,7 +91,7 @@ BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 void BM_PoolPlaceAndComplete(benchmark::State& state) {
   using namespace cluster;
   const auto machines_count = static_cast<int>(state.range(0));
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (int m = 0; m < machines_count; ++m) {
     machines.Add(8, 65536, 1.0);
@@ -118,7 +118,7 @@ BENCHMARK(BM_PoolPlaceAndComplete)->Arg(64)->Arg(512);
 // preemption plan and suspend a victim.
 void BM_PoolPreemptionPath(benchmark::State& state) {
   using namespace cluster;
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (int m = 0; m < 64; ++m) {
     machines.Add(8, 65536, 1.0);

@@ -43,7 +43,7 @@ workload::JobSpec MakeSpec(JobId::ValueType id, std::int32_t cores,
   return spec;
 }
 
-MachineArena UniformMachines(JobTable& jobs, int count,
+MachineArena UniformMachines(JobArena& jobs, int count,
                              std::int32_t cores = 8,
                              std::int64_t memory_mb = 64 * 1024,
                              std::int32_t owner = -1) {
@@ -57,7 +57,7 @@ MachineArena UniformMachines(JobTable& jobs, int count,
 
 // Fills every machine of `pool` with one `cores`-wide pinned job. Returns
 // the first unused job id.
-JobId::ValueType Saturate(PhysicalPool& pool, JobTable& jobs, int machines,
+JobId::ValueType Saturate(PhysicalPool& pool, JobArena& jobs, int machines,
                           std::int32_t cores, JobId::ValueType next,
                           workload::Priority priority = workload::kLowPriority) {
   for (int m = 0; m < machines; ++m) {
@@ -74,7 +74,7 @@ JobId::ValueType Saturate(PhysicalPool& pool, JobTable& jobs, int machines,
 // lookup) must locate the lone free machine at the very end of the table.
 void BM_FirstFitLastFreeMachine(benchmark::State& state) {
   const int machines = static_cast<int>(state.range(0));
-  JobTable jobs;
+  JobArena jobs;
   PhysicalPool pool(PoolId(0), UniformMachines(jobs, machines), jobs,
                     /*suspended_holds_memory=*/true);
   JobId::ValueType next =
@@ -96,7 +96,7 @@ BENCHMARK(BM_FirstFitLastFreeMachine)->Arg(1024)->Arg(10000)->Arg(40000);
 // the per-arrival cost of a standing backlog.
 void BM_SaturatedSubmitToQueue(benchmark::State& state) {
   const int machines = static_cast<int>(state.range(0));
-  JobTable jobs;
+  JobArena jobs;
   PhysicalPool pool(PoolId(0), UniformMachines(jobs, machines), jobs,
                     /*suspended_holds_memory=*/true);
   JobId::ValueType next = Saturate(pool, jobs, machines, /*cores=*/8, 0);
@@ -117,7 +117,7 @@ BENCHMARK(BM_SaturatedSubmitToQueue)->Arg(1024)->Arg(10000)->Arg(40000);
 // (linearly, or via the preemptible-priority summary).
 void BM_PreemptionBehindBusyPrefix(benchmark::State& state) {
   const int machines = static_cast<int>(state.range(0));
-  JobTable jobs;
+  JobArena jobs;
   PhysicalPool pool(PoolId(0), UniformMachines(jobs, machines), jobs,
                     /*suspended_holds_memory=*/true);
   JobId::ValueType next = 0;
@@ -145,7 +145,7 @@ BENCHMARK(BM_PreemptionBehindBusyPrefix)->Arg(1024)->Arg(10000)->Arg(40000);
 // run — issued once per candidate pool per placement/rescheduling decision.
 void BM_HasEligibleMachineMiss(benchmark::State& state) {
   const int machines = static_cast<int>(state.range(0));
-  JobTable jobs;
+  JobArena jobs;
   PhysicalPool pool(PoolId(0), UniformMachines(jobs, machines), jobs,
                     /*suspended_holds_memory=*/true);
   const workload::JobSpec spec = MakeSpec(0, 128, 1024, 10);
@@ -161,7 +161,7 @@ BENCHMARK(BM_HasEligibleMachineMiss)->Arg(1024)->Arg(10000)->Arg(40000);
 // ScheduleNextOn gate decides whether the whole queue is walked per call.
 void BM_BackfillMemoryExhausted(benchmark::State& state) {
   const int waiters = static_cast<int>(state.range(0));
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(64, 64 * 1024, 1.0);
   PhysicalPool pool(PoolId(0), std::move(machines), jobs,

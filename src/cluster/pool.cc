@@ -7,7 +7,7 @@
 namespace netbatch::cluster {
 
 PhysicalPool::PhysicalPool(PoolId id, MachineArena machines,
-                           JobTable& jobs, bool suspended_holds_memory,
+                           JobArena& jobs, bool suspended_holds_memory,
                            bool local_resume_first, PoolObserver* observer)
     : id_(id),
       machines_(std::move(machines)),

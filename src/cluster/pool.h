@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "cluster/invariants.h"
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "cluster/machine.h"
 #include "cluster/placement_index.h"
 
@@ -58,7 +58,7 @@ class PhysicalPool {
   // `suspended_holds_memory` / `local_resume_first`: host-level suspension
   // semantics (see ClusterConfig). `observer` (optional, must outlive the
   // pool) sees every start/resume/enqueue transition.
-  PhysicalPool(PoolId id, MachineArena machines, JobTable& jobs,
+  PhysicalPool(PoolId id, MachineArena machines, JobArena& jobs,
                bool suspended_holds_memory, bool local_resume_first = true,
                PoolObserver* observer = nullptr);
 
@@ -228,7 +228,7 @@ class PhysicalPool {
 
   PoolId id_;
   MachineArena machines_;
-  JobTable* jobs_;
+  JobArena* jobs_;
   bool suspended_holds_memory_;
   bool local_resume_first_;
   PoolObserver* observer_;

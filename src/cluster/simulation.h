@@ -24,7 +24,7 @@
 #include "cluster/config.h"
 #include "cluster/interfaces.h"
 #include "cluster/invariants.h"
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "cluster/pool.h"
 #include "cluster/view.h"
 #include "common/counters.h"
@@ -87,11 +87,6 @@ struct SimulationOptions {
   // every pool-level job transition (start / resume / enqueue).
   Ticks audit_period = 0;
   bool audit_on_transitions = false;
-  // 0 = the classic single-domain engine (NetBatchSimulation). >= 1 selects
-  // the sharded engine (ShardedSimulation) with that many worker threads;
-  // results are bit-identical across every value >= 1, so shards=1 is the
-  // reference execution and larger values only buy wall-clock.
-  int shards = 0;
 };
 
 class NetBatchSimulation final : public ClusterView,
@@ -122,7 +117,7 @@ class NetBatchSimulation final : public ClusterView,
   const sched::SchedulerCore& core() const { return core_; }
 
   // --- results ------------------------------------------------------------
-  const JobTable& jobs() const { return core_.jobs(); }
+  const JobArena& jobs() const { return core_.jobs(); }
   std::size_t completed_count() const { return core_.completed_count(); }
   std::size_t rejected_count() const { return core_.rejected_count(); }
   std::uint64_t preemption_count() const { return core_.preemption_count(); }

@@ -1,85 +1,10 @@
 #include "metrics/collector.h"
 
-#include <algorithm>
+#include <utility>
 
-#include "cluster/sharded_simulation.h"
 #include "common/stats.h"
 
 namespace netbatch::metrics {
-
-namespace {
-
-// The per-job metric accumulation shared by both BuildReport overloads, so
-// a sharded run aggregates jobs with exactly the single-engine arithmetic.
-struct JobAggregates {
-  StreamingStats ct_all, ct_suspended, st_suspended;
-  StreamingStats wait_all, suspend_all, waste_all, wct_all;
-  StreamingStats ct_high, ct_low;
-  EmpiricalCdf ct_cdf;
-
-  void Add(const cluster::Job& job, MetricsReport& report,
-           EmpiricalCdf& suspension_cdf, EmpiricalCdf& wait_cdf) {
-    ++report.job_count;
-
-    const double ct =
-        TicksToMinutes(job.completion_time() - job.submit_time());
-    const double wait = TicksToMinutes(job.wait_ticks());
-    const double suspend = TicksToMinutes(job.suspend_ticks());
-    // (c3): execution progress thrown away by restarts, transfer time the
-    // restart itself cost, and any killed duplicate's discarded execution.
-    const double waste =
-        TicksToMinutes(job.resched_waste_ticks() + job.transit_ticks() +
-                       job.extra_waste_ticks());
-
-    ct_all.Add(ct);
-    ct_cdf.Add(ct);
-    wait_cdf.Add(wait);
-    wait_all.Add(wait);
-    suspend_all.Add(suspend);
-    waste_all.Add(waste);
-    wct_all.Add(wait + suspend + waste);
-    if (job.priority() > workload::kLowPriority) {
-      ++report.high_priority_count;
-      ct_high.Add(ct);
-    } else {
-      ct_low.Add(ct);
-    }
-
-    if (job.ever_suspended()) {
-      ++report.suspended_job_count;
-      ct_suspended.Add(ct);
-      st_suspended.Add(suspend);
-      suspension_cdf.Add(suspend);
-    }
-  }
-
-  void Finalize(MetricsReport& report, const EmpiricalCdf& suspension_cdf) {
-    report.suspend_rate =
-        report.job_count == 0
-            ? 0.0
-            : static_cast<double>(report.suspended_job_count) /
-                  static_cast<double>(report.job_count);
-    report.avg_ct_all_minutes = ct_all.mean();
-    report.avg_ct_suspended_minutes = ct_suspended.mean();
-    report.avg_st_minutes = st_suspended.mean();
-    report.avg_wait_minutes = wait_all.mean();
-    report.avg_suspend_minutes = suspend_all.mean();
-    report.avg_resched_waste_minutes = waste_all.mean();
-    report.avg_wct_minutes = wct_all.mean();
-    report.max_ct_minutes = ct_all.max();
-    if (ct_cdf.count() > 0) {
-      report.p50_ct_minutes = ct_cdf.Quantile(0.5);
-      report.p90_ct_minutes = ct_cdf.Quantile(0.9);
-      report.p99_ct_minutes = ct_cdf.Quantile(0.99);
-    }
-    report.median_st_minutes =
-        suspension_cdf.count() > 0 ? suspension_cdf.Median() : 0.0;
-    report.avg_ct_high_minutes = ct_high.mean();
-    report.avg_ct_low_minutes = ct_low.mean();
-  }
-};
-
-}  // namespace
 
 void MetricsCollector::OnSample(Ticks now, const cluster::ClusterView& view) {
   Sample sample;
@@ -121,7 +46,10 @@ MetricsReport MetricsCollector::BuildReport(
   report.completed_count = simulation.completed_count();
   report.rejected_count = simulation.rejected_count();
 
-  JobAggregates agg;
+  StreamingStats ct_all, ct_suspended, st_suspended;
+  StreamingStats wait_all, suspend_all, waste_all, wct_all;
+  StreamingStats ct_high, ct_low;
+  EmpiricalCdf ct_cdf;
   suspension_cdf_ = EmpiricalCdf{};
   wait_cdf_ = EmpiricalCdf{};
 
@@ -133,47 +61,62 @@ MetricsReport MetricsCollector::BuildReport(
     // rejected_count, and counting them in job_count would deflate
     // suspend_rate (its denominator) whenever rejections occur.
     if (job.state() == cluster::JobState::kRejected) continue;
-    agg.Add(job, report, suspension_cdf_, wait_cdf_);
-  }
+    ++report.job_count;
 
-  agg.Finalize(report, suspension_cdf_);
-  return report;
-}
+    const double ct =
+        TicksToMinutes(job.completion_time() - job.submit_time());
+    const double wait = TicksToMinutes(job.wait_ticks());
+    const double suspend = TicksToMinutes(job.suspend_ticks());
+    // (c3): execution progress thrown away by restarts, transfer time the
+    // restart itself cost, and any killed duplicate's discarded execution.
+    const double waste =
+        TicksToMinutes(job.resched_waste_ticks() + job.transit_ticks() +
+                       job.extra_waste_ticks());
 
-MetricsReport MetricsCollector::BuildReport(
-    const cluster::ShardedSimulation& simulation, std::string label) {
-  MetricsReport report;
-  report.label = std::move(label);
-  report.preemption_count = simulation.preemption_count();
-  report.reschedule_count = simulation.reschedule_count();
-  report.duplicate_count = 0;  // duplication is rejected at construction
-  report.outage_count = simulation.outage_count();
-  report.eviction_count = simulation.eviction_count();
-  report.completed_count = simulation.completed_count();
-  report.rejected_count = simulation.rejected_count();
+    ct_all.Add(ct);
+    ct_cdf.Add(ct);
+    wait_cdf_.Add(wait);
+    wait_all.Add(wait);
+    suspend_all.Add(suspend);
+    waste_all.Add(waste);
+    wct_all.Add(wait + suspend + waste);
+    if (job.priority() > workload::kLowPriority) {
+      ++report.high_priority_count;
+      ct_high.Add(ct);
+    } else {
+      ct_low.Add(ct);
+    }
 
-  JobAggregates agg;
-  suspension_cdf_ = EmpiricalCdf{};
-  wait_cdf_ = EmpiricalCdf{};
-
-  for (std::size_t d = 0; d < simulation.DomainCount(); ++d) {
-    const cluster::JobTable& jobs = simulation.domain_jobs(d);
-    for (const cluster::Job& job : jobs) {
-      // A job handed off to another domain leaves its erased slot parked
-      // here with stale columns: its id either no longer resolves in this
-      // table or resolves to a different (recycled) slot. Every live job is
-      // walked exactly once, in the domain that currently owns it.
-      if (jobs.reclaim_enabled() &&
-          (!jobs.Contains(job.id()) || jobs.at(job.id()).slot() != job.slot())) {
-        continue;
-      }
-      if (job.is_duplicate()) continue;
-      if (job.state() == cluster::JobState::kRejected) continue;
-      agg.Add(job, report, suspension_cdf_, wait_cdf_);
+    if (job.ever_suspended()) {
+      ++report.suspended_job_count;
+      ct_suspended.Add(ct);
+      st_suspended.Add(suspend);
+      suspension_cdf_.Add(suspend);
     }
   }
 
-  agg.Finalize(report, suspension_cdf_);
+  report.suspend_rate =
+      report.job_count == 0
+          ? 0.0
+          : static_cast<double>(report.suspended_job_count) /
+                static_cast<double>(report.job_count);
+  report.avg_ct_all_minutes = ct_all.mean();
+  report.avg_ct_suspended_minutes = ct_suspended.mean();
+  report.avg_st_minutes = st_suspended.mean();
+  report.avg_wait_minutes = wait_all.mean();
+  report.avg_suspend_minutes = suspend_all.mean();
+  report.avg_resched_waste_minutes = waste_all.mean();
+  report.avg_wct_minutes = wct_all.mean();
+  report.max_ct_minutes = ct_all.max();
+  if (ct_cdf.count() > 0) {
+    report.p50_ct_minutes = ct_cdf.Quantile(0.5);
+    report.p90_ct_minutes = ct_cdf.Quantile(0.9);
+    report.p99_ct_minutes = ct_cdf.Quantile(0.99);
+  }
+  report.median_st_minutes =
+      suspension_cdf_.count() > 0 ? suspension_cdf_.Median() : 0.0;
+  report.avg_ct_high_minutes = ct_high.mean();
+  report.avg_ct_low_minutes = ct_low.mean();
   return report;
 }
 

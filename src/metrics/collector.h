@@ -15,10 +15,6 @@
 #include "common/histogram.h"
 #include "metrics/report.h"
 
-namespace netbatch::cluster {
-class ShardedSimulation;
-}
-
 namespace netbatch::metrics {
 
 // One sampled point of system state (per simulated minute by default).
@@ -58,12 +54,6 @@ class MetricsCollector final : public cluster::SimulationObserver {
   // Aggregates the paper's metrics from a finished simulation.
   // Also (re)builds the suspension-time CDF.
   MetricsReport BuildReport(const cluster::NetBatchSimulation& simulation,
-                            std::string label);
-
-  // Sharded-engine overload: walks every domain's job table (domain order,
-  // then slot order — independent of the shard count), skipping the stale
-  // reclaimed slots that jobs handed off to another domain leave behind.
-  MetricsReport BuildReport(const cluster::ShardedSimulation& simulation,
                             std::string label);
 
  private:

@@ -107,8 +107,6 @@ LoadedExperiment LoadExperiment(std::istream& in) {
       } else if (key == "checkpoint_min") {
         config.sim_options.checkpoint_interval =
             MinutesToTicks(ParseInt(value));
-      } else if (key == "shards") {
-        config.sim_options.shards = static_cast<int>(ParseInt(value));
       } else {
         NETBATCH_CHECK(false, "unknown key in [experiment]: " + key);
       }

@@ -18,43 +18,4 @@ ExperimentSpec SpecFromConfig(const ExperimentConfig& config,
   return spec;
 }
 
-ExperimentResult RunExperimentWithPolicy(
-    const ExperimentConfig& config, const workload::Trace& trace,
-    cluster::ReschedulingPolicy& policy, std::string label,
-    const std::vector<cluster::SimulationObserver*>& extra_observers) {
-  return RunSpecWithPolicy(SpecFromConfig(config), trace, policy,
-                           std::move(label), extra_observers);
-}
-
-ExperimentResult RunExperimentOnTrace(const ExperimentConfig& config,
-                                      const workload::Trace& trace) {
-  ExperimentSpec spec = SpecFromConfig(config);
-  spec.display_label = core::ToString(config.policy);
-  return RunSpec(spec, trace);
-}
-
-ExperimentResult RunExperiment(const ExperimentConfig& config) {
-  ExperimentSpec spec = SpecFromConfig(config);
-  spec.display_label = core::ToString(config.policy);
-  return RunSingle(spec);
-}
-
-std::vector<ExperimentResult> RunPolicyComparison(
-    const ExperimentConfig& base,
-    const std::vector<core::PolicyKind>& policies) {
-  std::vector<ExperimentSpec> specs;
-  specs.reserve(policies.size());
-  for (const core::PolicyKind policy : policies) {
-    ExperimentConfig config = base;
-    config.policy = policy;
-    ExperimentSpec spec = SpecFromConfig(config);
-    spec.display_label = core::ToString(policy);
-    specs.push_back(std::move(spec));
-  }
-  // One shared trace (equal scenario_name + seed) and parallel execution
-  // come from the sweep engine for free.
-  SweepResult sweep = RunSweep(std::move(specs));
-  return std::move(sweep.results);
-}
-
 }  // namespace netbatch::runner

@@ -1,29 +1,15 @@
-// DEPRECATED single-run experiment wrappers.
-//
-// The experiment API lives in runner/sweep.h: describe runs as
-// `ExperimentSpec`s (SpecBuilder) and execute them with RunSweep /
-// RunSingle, which adds trace sharing, a worker pool, replication
-// aggregation, and deterministic parallelism. These wrappers are thin shims
-// kept only for the INI config-file loader (runner/config_file); they will
-// be deleted once that path speaks specs natively. Do not add callers.
-//
-// Migration:
-//   RunExperiment(config)            -> RunSingle(SpecFromConfig(config))
-//   RunExperimentOnTrace(c, trace)   -> RunSpec(SpecFromConfig(c), trace)
-//   RunExperimentWithPolicy(...)     -> RunSpecWithPolicy(...) or a
-//                                       SpecBuilder().CustomPolicy(...)
-//   RunPolicyComparison(c, policies) -> RunSweep(specs, ...) with one spec
-//                                       per policy (shared trace is implied)
+// The flat run description the INI config-file loader (runner/config_file)
+// and netbatch_cli's single-run mode fill in, and its bridge into the sweep
+// API. Runs themselves go through runner/sweep.h: SpecFromConfig turns a
+// config into an `ExperimentSpec` for RunSingle / RunSpec / RunSweep.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "runner/sweep.h"
 
 namespace netbatch::runner {
 
-// The legacy flat run description, still produced by runner/config_file.
 struct ExperimentConfig {
   Scenario scenario;
   InitialSchedulerKind scheduler = InitialSchedulerKind::kRoundRobin;
@@ -36,26 +22,9 @@ struct ExperimentConfig {
 };
 
 // Bridges an ExperimentConfig into the sweep API. The spec's replication
-// seed is the scenario's workload seed, so trace generation matches the
-// legacy behavior exactly.
+// seed is the scenario's workload seed, so a config-file run replays the
+// trace that seed generates.
 ExperimentSpec SpecFromConfig(const ExperimentConfig& config,
                               std::string scenario_name = "custom");
-
-// DEPRECATED: use RunSingle(SpecFromConfig(config)).
-ExperimentResult RunExperiment(const ExperimentConfig& config);
-
-// DEPRECATED: use RunSpec(SpecFromConfig(config), trace).
-ExperimentResult RunExperimentOnTrace(const ExperimentConfig& config,
-                                      const workload::Trace& trace);
-
-// DEPRECATED: use RunSpecWithPolicy, or a spec with CustomPolicy.
-ExperimentResult RunExperimentWithPolicy(
-    const ExperimentConfig& config, const workload::Trace& trace,
-    cluster::ReschedulingPolicy& policy, std::string label,
-    const std::vector<cluster::SimulationObserver*>& extra_observers = {});
-
-// DEPRECATED: use RunSweep with one spec per policy.
-std::vector<ExperimentResult> RunPolicyComparison(
-    const ExperimentConfig& base, const std::vector<core::PolicyKind>& policies);
 
 }  // namespace netbatch::runner

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "cluster/sharded_simulation.h"
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/table.h"
@@ -103,11 +102,6 @@ SpecBuilder& SpecBuilder::SimOptions(cluster::SimulationOptions options) {
   return *this;
 }
 
-SpecBuilder& SpecBuilder::Shards(int shards) {
-  spec_.sim_options.shards = shards;
-  return *this;
-}
-
 SpecBuilder& SpecBuilder::DisplayLabel(std::string label) {
   spec_.display_label = std::move(label);
   return *this;
@@ -130,51 +124,6 @@ std::unique_ptr<cluster::InitialScheduler> MakeScheduler(
   return nullptr;
 }
 
-// The sharded-engine run path (sim_options.shards >= 1): same substream
-// derivations as the classic path, except the policy seed is per domain
-// ("policy.pool<d>") — each domain owns an independent policy instance, so
-// one shared stream would make results depend on cross-domain interleaving.
-ExperimentResult RunSpecSharded(const ExperimentSpec& spec,
-                                const workload::Trace& trace) {
-  NETBATCH_CHECK(spec.policy_factory == nullptr,
-                 "sharded runs do not support custom policy factories");
-  const std::uint64_t run_seed = spec.RunSeed();
-  const std::unique_ptr<cluster::InitialScheduler> router =
-      MakeScheduler(spec);
-
-  cluster::SimulationOptions options = spec.sim_options;
-  options.outages.seed = DeriveSeed(run_seed, "outages");
-
-  const cluster::ShardedSimulation::DomainPolicyFactory policy_factory =
-      [&spec, run_seed](PoolId domain) {
-        core::PolicyOptions policy_options = spec.policy_options;
-        policy_options.seed = DeriveSeed(
-            run_seed, "policy.pool" + std::to_string(domain.value()));
-        return core::MakePolicy(spec.policy, policy_options);
-      };
-
-  cluster::ShardedSimulation simulation(spec.scenario.cluster, trace, *router,
-                                        policy_factory, options);
-  metrics::MetricsCollector collector;
-  simulation.AddObserver(&collector);
-  const auto run_start = std::chrono::steady_clock::now();
-  simulation.Run();
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    run_start)
-          .count();
-
-  ExperimentResult result;
-  result.report = collector.BuildReport(simulation, spec.DisplayLabel());
-  result.samples = collector.samples();
-  result.suspension_cdf = collector.SuspensionTimeCdf();
-  result.trace_stats = trace.Stats();
-  result.fired_events = simulation.TotalFiredEvents();
-  result.wall_seconds = wall_seconds;
-  result.counters = simulation.MergedCounters();
-  return result;
-}
-
 }  // namespace
 
 workload::Trace GenerateSpecTrace(const ExperimentSpec& spec) {
@@ -187,9 +136,6 @@ ExperimentResult RunSpecWithPolicy(
     const ExperimentSpec& spec, const workload::Trace& trace,
     cluster::ReschedulingPolicy& policy, std::string label,
     const std::vector<cluster::SimulationObserver*>& extra_observers) {
-  NETBATCH_CHECK(spec.sim_options.shards == 0,
-                 "RunSpecWithPolicy requires the single-domain engine "
-                 "(shards=0): sharded runs build one policy per domain");
   const std::unique_ptr<cluster::InitialScheduler> scheduler =
       MakeScheduler(spec);
 
@@ -226,7 +172,6 @@ ExperimentResult RunSpecWithPolicy(
 
 ExperimentResult RunSpec(const ExperimentSpec& spec,
                          const workload::Trace& trace) {
-  if (spec.sim_options.shards > 0) return RunSpecSharded(spec, trace);
   const std::uint64_t run_seed = spec.RunSeed();
   PolicyInstance instance;
   if (spec.policy_factory != nullptr) {

@@ -131,11 +131,6 @@ class SpecBuilder {
   SpecBuilder& Duplication();
   SpecBuilder& WaitThreshold(Ticks threshold);
   SpecBuilder& SimOptions(cluster::SimulationOptions options);
-  // Runs on the sharded engine with this many worker threads (>= 1);
-  // 0 restores the classic single-domain engine. Any value >= 1 yields the
-  // same bytes, so shards only changes wall-clock, never results — and the
-  // shard count is deliberately absent from run labels.
-  SpecBuilder& Shards(int shards);
   SpecBuilder& DisplayLabel(std::string label);
   ExperimentSpec Build() const { return spec_; }
 

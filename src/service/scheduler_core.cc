@@ -46,11 +46,7 @@ SchedulerCore::SchedulerCore(const cluster::ClusterConfig& config,
         machines.Add(group.cores, group.memory_mb, group.speed, group.owner);
       }
     }
-    // A pool with no machine groups at all is a deliberate capacity-less
-    // husk (the sharded engine slices a cluster by emptying remote pools'
-    // group lists); declared groups that sum to zero machines stay an error.
-    NETBATCH_CHECK(!machines.empty() || config.pools[p].machine_groups.empty(),
-                   "pool without machines");
+    NETBATCH_CHECK(!machines.empty(), "pool without machines");
     pools_.push_back(std::make_unique<PhysicalPool>(
         pool_id, std::move(machines), jobs_, config.suspended_holds_memory,
         config.local_resume_first,
@@ -696,7 +692,7 @@ namespace {
 // must reuse slots at the same floors the live run did).
 constexpr std::uint32_t kCoreStateVersion = 2;
 
-void EncodeJobRecord(const cluster::JobTable& jobs, JobId id,
+void EncodeJobRecord(const cluster::JobArena& jobs, JobId id,
                      std::vector<std::uint8_t>& out,
                      std::vector<std::uint8_t>& scratch) {
   const Job job = jobs.at(id);

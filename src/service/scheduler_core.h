@@ -27,7 +27,7 @@
 #include "cluster/config.h"
 #include "cluster/interfaces.h"
 #include "cluster/invariants.h"
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "cluster/pool.h"
 #include "cluster/view.h"
 #include "common/counters.h"
@@ -178,8 +178,8 @@ class SchedulerCore final : public cluster::ClusterView,
 
   // --- results / state ------------------------------------------------------
 
-  const cluster::JobTable& jobs() const { return jobs_; }
-  cluster::JobTable& jobs() { return jobs_; }
+  const cluster::JobArena& jobs() const { return jobs_; }
+  cluster::JobArena& jobs() { return jobs_; }
   std::size_t completed_count() const { return completed_count_; }
   std::size_t rejected_count() const { return rejected_count_; }
   std::uint64_t preemption_count() const { return preemption_count_; }
@@ -268,7 +268,7 @@ class SchedulerCore final : public cluster::ClusterView,
   void ResolveTwinRace(cluster::Job winner);
   void FinishJobsScheduledBy(const std::vector<JobId>& scheduled);
 
-  cluster::JobTable jobs_;
+  cluster::JobArena jobs_;
   std::vector<std::unique_ptr<cluster::PhysicalPool>> pools_;
   cluster::InitialScheduler* scheduler_;
   cluster::ReschedulingPolicy* policy_;

@@ -25,7 +25,7 @@
 //
 // Terminal jobs are reclaimed: CoreHost::OnJobTerminal queues the id, and
 // the loop erases it from the job table (slot reuse with a generation
-// floor, cluster/job_table.h) and the job directory one iteration later —
+// floor, cluster/job.h) and the job directory one iteration later —
 // after the dispatch that retired it has fully unwound.
 #pragma once
 

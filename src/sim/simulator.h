@@ -13,7 +13,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/check.h"
@@ -85,14 +84,6 @@ class Simulator {
   // Pre-sizes FIFO lane `lane` (e.g. the arrival lane for the trace size).
   void ReserveLane(std::size_t lane, std::size_t events) {
     queue_.ReserveLane(lane, events);
-  }
-
-  // Time of the earliest live event, or nullopt when the queue is empty.
-  // Non-const because peeking lazily drops cancelled heap tops. Used by the
-  // sharded coordinator to size conservative sync windows.
-  std::optional<Ticks> NextEventTime() {
-    if (queue_.Empty()) return std::nullopt;
-    return queue_.PeekTime();
   }
 
   std::size_t PendingEvents() const { return queue_.LiveCount(); }

@@ -27,7 +27,7 @@ workload::JobSpec Spec(JobId::ValueType id, Ticks submit, Ticks runtime,
 TEST(CheckpointTest, RestartKeepsCheckpointedProgress) {
   // 100-minute job, 30-minute checkpoints, suspended at t=70 with 70 min of
   // progress -> restart keeps 60, loses 10.
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 0, MinutesToTicks(100), 1));
   job.OnSubmitted(0);
   job.OnStarted(0, MachineId(0), 1.0);
@@ -39,7 +39,7 @@ TEST(CheckpointTest, RestartKeepsCheckpointedProgress) {
 }
 
 TEST(CheckpointTest, ZeroIntervalLosesEverything) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 0, MinutesToTicks(100), 1));
   job.OnSubmitted(0);
   job.OnStarted(0, MachineId(0), 1.0);
@@ -50,7 +50,7 @@ TEST(CheckpointTest, ZeroIntervalLosesEverything) {
 }
 
 TEST(CheckpointTest, ProgressExactlyAtCheckpointLosesNothing) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 0, MinutesToTicks(100), 1));
   job.OnSubmitted(0);
   job.OnStarted(0, MachineId(0), 1.0);
@@ -63,7 +63,7 @@ TEST(CheckpointTest, ProgressExactlyAtCheckpointLosesNothing) {
 TEST(CheckpointTest, RepeatedRestartsOnlyDiscardSinceLastCheckpoint) {
   // First attempt: 50 min progress, keep 30 (waste 20). Second attempt:
   // 25 more min (total 55), keep 30 again -> waste 25.
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 0, MinutesToTicks(100), 1));
   job.OnSubmitted(0);
   job.OnStarted(0, MachineId(0), 1.0);
@@ -82,7 +82,7 @@ TEST(CheckpointTest, RepeatedRestartsOnlyDiscardSinceLastCheckpoint) {
 TEST(CheckpointTest, SpeedScalingProRatesWaste) {
   // On a 2x machine, 40 wall minutes = 80 work minutes. With 60-minute
   // checkpoints, 20 work minutes (=10 wall minutes) are discarded.
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 0, MinutesToTicks(100), 1));
   job.OnSubmitted(0);
   job.OnStarted(0, MachineId(0), 2.0);

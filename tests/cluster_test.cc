@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/job.h"
-#include "cluster/job_table.h"
 #include "cluster/machine.h"
 #include "cluster/pool.h"
 
@@ -33,7 +32,7 @@ struct MachineFixture {
     id = machines.Add(cores, memory_mb, 1.0);
   }
   Machine machine() const { return machines.at(id); }
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines;
   MachineId id;
 };
@@ -121,7 +120,7 @@ TEST(MachineTest, RunningClassSummaryTracksPrioritiesAndReclaim) {
 // --- job lifecycle accounting -------------------------------------------------
 
 TEST(JobTest, PlainRunAccountsExecutionOnly) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0));
   job.OnSubmitted(100);
   job.OnStarted(100, MachineId(0), 1.0);
@@ -136,7 +135,7 @@ TEST(JobTest, PlainRunAccountsExecutionOnly) {
 }
 
 TEST(JobTest, SpeedShortensWallClock) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 1, 1024, MinutesToTicks(100)));
   EXPECT_EQ(job.TicksToCompletion(2.0), MinutesToTicks(50));
   EXPECT_EQ(job.TicksToCompletion(0.5), MinutesToTicks(200));
@@ -146,7 +145,7 @@ TEST(JobTest, SpeedShortensWallClock) {
 }
 
 TEST(JobTest, WaitingTimeAccrues) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0));
   job.OnSubmitted(0);
   job.OnEnqueued(0, PoolId(2));
@@ -156,7 +155,7 @@ TEST(JobTest, WaitingTimeAccrues) {
 }
 
 TEST(JobTest, SuspendResumeAccountsProgressAndSuspension) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 1, 1024, MinutesToTicks(100)));
   job.OnSubmitted(0);
   job.OnStarted(0, MachineId(0), 1.0);
@@ -173,7 +172,7 @@ TEST(JobTest, SuspendResumeAccountsProgressAndSuspension) {
 }
 
 TEST(JobTest, RestartDiscardsProgressIntoReschedWaste) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0, 1, 1024, MinutesToTicks(100)));
   job.OnSubmitted(0);
   job.OnStarted(0, MachineId(0), 1.0);
@@ -199,7 +198,7 @@ TEST(JobTest, RestartDiscardsProgressIntoReschedWaste) {
 }
 
 TEST(JobTest, RestartFromWaitingWastesNothing) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0));
   job.OnSubmitted(0);
   job.OnEnqueued(0, PoolId(0));
@@ -209,7 +208,7 @@ TEST(JobTest, RestartFromWaitingWastesNothing) {
 }
 
 TEST(JobTest, GenerationBumpsOnEveryTransition) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0));
   const auto g0 = job.generation();
   job.OnSubmitted(0);
@@ -221,7 +220,7 @@ TEST(JobTest, GenerationBumpsOnEveryTransition) {
 }
 
 TEST(JobTest, IllegalTransitionsAbort) {
-  JobTable jobs;
+  JobArena jobs;
   Job job = jobs.Create(Spec(0));
   job.OnSubmitted(0);
   EXPECT_DEATH(job.OnSuspended(1), "non-running");
@@ -232,7 +231,7 @@ TEST(JobTest, IllegalTransitionsAbort) {
 // --- job table ----------------------------------------------------------------
 
 TEST(JobTableTest, CreateAndLookup) {
-  JobTable table;
+  JobArena table;
   table.Create(Spec(5));
   table.Create(Spec(9));
   EXPECT_EQ(table.size(), 2u);
@@ -260,7 +259,7 @@ struct PoolFixture {
     return job;
   }
 
-  JobTable jobs;
+  JobArena jobs;
   std::unique_ptr<PhysicalPool> pool;
 };
 
@@ -552,7 +551,7 @@ TEST(PoolTest, RemoveFromQueueUnknownJobAborts) {
 // 1 (second in its class, so its prev link is set) must not be unlinkable
 // through pool 0 — nor may a job that is running rather than waiting.
 TEST(PoolTest, RemoveFromQueueRefusesJobsNotWaitingHere) {
-  JobTable jobs;
+  JobArena jobs;
   const auto one_machine_pool = [&](PoolId id) {
     MachineArena machines(id, jobs);
     machines.Add(1, 1024, 1.0);

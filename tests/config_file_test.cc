@@ -33,7 +33,6 @@ policy     = ResSusWaitRand
 threshold_min = 45
 overhead_min  = 5
 checkpoint_min = 30
-shards        = 4
 )");
   EXPECT_EQ(loaded.policy_name, "ResSusWaitRand");
   EXPECT_EQ(loaded.config.scheduler, InitialSchedulerKind::kUtilization);
@@ -42,7 +41,6 @@ shards        = 4
   EXPECT_EQ(loaded.config.sim_options.restart_overhead, MinutesToTicks(5));
   EXPECT_EQ(loaded.config.sim_options.checkpoint_interval,
             MinutesToTicks(30));
-  EXPECT_EQ(loaded.config.sim_options.shards, 4);
   // scenario=high halves capacity relative to normal at the same scale.
   const auto normal_cores = NormalLoadScenario(0.5).cluster.TotalCores();
   EXPECT_LT(loaded.config.scenario.cluster.TotalCores(), normal_cores);
@@ -62,6 +60,9 @@ mttr_min = 120
 
 TEST(ConfigFileTest, UnknownKeyAborts) {
   EXPECT_DEATH(Load("[experiment]\ntypo_key = 1\n"), "unknown key");
+  // There is one simulation engine and no `shards` key: an INI that still
+  // sets it must abort rather than run as if the key were honoured.
+  EXPECT_DEATH(Load("[experiment]\nshards = 4\n"), "unknown key");
 }
 
 TEST(ConfigFileTest, UnknownSectionAborts) {

@@ -6,7 +6,7 @@
 #include <array>
 #include <limits>
 
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "common/rng.h"
 #include "core/policies.h"
 #include "core/pool_selector.h"
@@ -40,7 +40,7 @@ class FakeView final : public cluster::ClusterView {
 };
 
 cluster::Job MakeJob(std::vector<PoolId> candidates = {}) {
-  static cluster::JobTable table;
+  static cluster::JobArena table;
   static int next_id = 0;
   workload::JobSpec spec;
   spec.id = JobId(next_id++);

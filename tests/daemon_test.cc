@@ -1,5 +1,5 @@
 // Tests for the serving layer: the MPSC mailbox (net/mailbox.h), guarded
-// job-slot reclamation (cluster/job_table.h), and the sharded daemon
+// job-slot reclamation (cluster/job.h), and the sharded daemon
 // (service/daemon.h) end to end over real sockets.
 //
 // The daemon tests run netbatchd in-process: a Daemon on its own thread,
@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "core/policies.h"
 #include "net/mailbox.h"
 #include "net/socket.h"
@@ -118,7 +118,7 @@ workload::JobSpec TableSpec(std::uint64_t id) {
 }
 
 TEST(JobTableReclaimTest, EraseFreesTheIdAndCreateReusesTheSlot) {
-  cluster::JobTable table;
+  cluster::JobArena table;
   table.EnableReclamation();
   table.Create(TableSpec(1));
   table.Create(TableSpec(2));
@@ -141,7 +141,7 @@ TEST(JobTableReclaimTest, EraseFreesTheIdAndCreateReusesTheSlot) {
 }
 
 TEST(JobTableReclaimTest, ReusedSlotGenerationExceedsEveryOldStamp) {
-  cluster::JobTable table;
+  cluster::JobArena table;
   table.EnableReclamation();
   table.Create(TableSpec(7));
   // Simulate a job that handed out timer stamps up to generation 5 before
@@ -161,7 +161,7 @@ TEST(JobTableReclaimTest, SparseIdsShareTheFreeListWithDenseIds) {
   // Ids past the dense cap live in the hash-map side of the index but park
   // their slots on the same free list as dense ids, with the same
   // generation floor on reuse.
-  cluster::JobTable table;
+  cluster::JobArena table;
   table.EnableReclamation();
   constexpr std::uint64_t kSparseId = (1u << 24) + 17;  // >= kDenseCap
   table.Create(TableSpec(kSparseId));
@@ -197,7 +197,7 @@ TEST(JobTableReclaimTest, FreeSlotGenerationFloorsSurviveRestore) {
   // must be re-parked explicitly — otherwise replayed Creates observe
   // generation floors of zero and every timer stamp the live run logged
   // against a reused slot goes stale (or worse, a dead stamp goes fresh).
-  cluster::JobTable live;
+  cluster::JobArena live;
   live.EnableReclamation();
   live.Create(TableSpec(1));
   live.Create(TableSpec(2));
@@ -210,7 +210,7 @@ TEST(JobTableReclaimTest, FreeSlotGenerationFloorsSurviveRestore) {
   live.AppendFreeSlotGenerations(floors);
   ASSERT_EQ(floors.size(), 2u);
 
-  cluster::JobTable restored;
+  cluster::JobArena restored;
   restored.EnableReclamation();
   for (const std::uint64_t floor : floors) restored.RestoreFreeSlot(floor);
   EXPECT_EQ(restored.size(), 2u);       // parked slots, shaped like erasures
@@ -233,7 +233,7 @@ TEST(JobTableReclaimTest, FreeSlotGenerationFloorsSurviveRestore) {
 }
 
 TEST(JobTableReclaimTest, WithoutEnableReclamationCreateAlwaysAppends) {
-  cluster::JobTable table;
+  cluster::JobArena table;
   table.Create(TableSpec(1));
   table.Create(TableSpec(2));
   EXPECT_FALSE(table.reclaim_enabled());

@@ -113,7 +113,7 @@ TEST(CrossSiteSelectorTest, EscapesCandidateRestriction) {
   core::NoResPolicy policy;
   NetBatchSimulation sim(ThreePoolCluster(), trace, scheduler, policy);
   sim.simulator().ScheduleAt(MinutesToTicks(5), [&] {
-    JobTable probe_table;
+    JobArena probe_table;
     Job probe =
         probe_table.Create(Spec(99, 0, 600, 1, workload::kLowPriority, {PoolId(0)}));
     probe.OnSubmitted(0);

@@ -1,7 +1,7 @@
 // Tests for the telemetry-driven load predictor and its selector.
 #include <gtest/gtest.h>
 
-#include "cluster/job_table.h"
+#include "cluster/job.h"
 #include "cluster/simulation.h"
 #include "core/load_predictor.h"
 #include "core/policies.h"
@@ -37,7 +37,7 @@ class FakeView final : public cluster::ClusterView {
 };
 
 cluster::Job MakeJob() {
-  static cluster::JobTable table;
+  static cluster::JobArena table;
   static int next_id = 0;
   workload::JobSpec spec;
   spec.id = JobId(next_id++);

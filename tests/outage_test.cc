@@ -31,7 +31,7 @@ ClusterConfig TwoMachineCluster() {
 }
 
 TEST(OutageTest, EvictMachineDetachesEverything) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(4, 16384, 1.0);
   PhysicalPool pool(PoolId(0), std::move(machines), jobs, true);

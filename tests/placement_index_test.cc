@@ -81,7 +81,7 @@ struct RefPlacement {
 };
 
 std::optional<RefPlacement> ReferencePlace(const PhysicalPool& pool,
-                                           const JobTable& jobs,
+                                           const JobArena& jobs,
                                            const workload::JobSpec& spec,
                                            workload::Priority priority,
                                            bool holds_memory) {
@@ -116,7 +116,7 @@ TEST_P(PlacementIndexFuzzTest, IncrementalIndexMatchesRebuildUnderChurn) {
   const auto [holds_memory, local_resume, seed] = GetParam();
   Rng rng(seed);
 
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (int m = 0; m < 8; ++m) {
     machines.Add(static_cast<std::int32_t>(rng.UniformInt(2, 16)),
@@ -340,7 +340,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The index must preserve first-fit-by-id, not switch to best-fit: a later
 // machine with a tighter fit must not steal the placement.
 TEST(PlacementOrderTest, FirstFitPrefersLowestMachineId) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(16, 65536, 1.0);
   machines.Add(4, 8192, 1.0);  // tight fit
@@ -356,7 +356,7 @@ TEST(PlacementOrderTest, FirstFitPrefersLowestMachineId) {
 // Preemption must target the first machine in id order that can yield, even
 // when a later machine could yield more cheaply.
 TEST(PlacementOrderTest, PreemptionPrefersLowestMachineId) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (int m = 0; m < 3; ++m) {
     machines.Add(4, 16384, 1.0);
@@ -406,7 +406,7 @@ class RecordingPoolObserver final : public PoolObserver {
 };
 
 TEST(PoolObserverTest, PreemptionVictimsFireOnJobSuspended) {
-  JobTable jobs;
+  JobArena jobs;
   RecordingPoolObserver observer;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(4, 16384, 1.0);
@@ -498,7 +498,7 @@ TEST(SimulationObserverTest, PreemptionsReachObservers) {
 // ---------------------------------------------------------------------------
 
 TEST(BackfillGateTest, MemoryGateDoesNotSkipSchedulableWork) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(4, 4096, 1.0);
   PhysicalPool pool(PoolId(0), std::move(machines), jobs, false);
@@ -531,7 +531,7 @@ TEST(BackfillGateTest, MemoryGateDoesNotSkipSchedulableWork) {
 }
 
 TEST(BackfillGateTest, MemoryExhaustedMachineStartsNothing) {
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   machines.Add(64, 4096, 1.0);
   PhysicalPool pool(PoolId(0), std::move(machines), jobs, false);
@@ -598,7 +598,7 @@ TEST_P(CrossSiteBothSelectorsTest, CrossSiteEscapesCandidateRestriction) {
   sim.simulator().ScheduleAt(MinutesToTicks(5), [&] {
     workload::JobSpec probe_spec = Spec(99, 1, 1024);
     probe_spec.candidate_pools = {PoolId(0)};
-    JobTable probe_table;
+    JobArena probe_table;
     Job probe = probe_table.Create(probe_spec);
     probe.OnSubmitted(0);
     probe.set_pool(PoolId(0));

@@ -40,7 +40,7 @@ TEST_P(PoolStressTest, InvariantsSurviveRandomOperationSequences) {
   const auto [holds_memory, local_resume, seed] = GetParam();
   Rng rng(seed);
 
-  JobTable jobs;
+  JobArena jobs;
   MachineArena machines(PoolId(0), jobs);
   for (MachineId::ValueType m = 0; m < 6; ++m) {
     machines.Add(static_cast<std::int32_t>(rng.UniformInt(2, 16)),
@@ -141,7 +141,7 @@ workload::JobSpec QueueSpec(Rng& rng, JobId::ValueType id) {
 
 // The queue jobs a backfill of a machine with `cores`/`memory_mb` free
 // starts, in order: repeatedly the first model entry that fits.
-std::vector<JobId> PredictBackfill(const WaitModel& model, const JobTable& jobs,
+std::vector<JobId> PredictBackfill(const WaitModel& model, const JobArena& jobs,
                                    std::int32_t cores, std::int64_t memory_mb) {
   std::vector<JobId> picks;
   WaitModel left = model;
@@ -176,7 +176,7 @@ std::vector<JobId> QueueOrder(const PhysicalPool& pool) {
   return std::vector<JobId>(ids.end() - waiting, ids.end());
 }
 
-MachineArena QueueMachines(JobTable& jobs) {
+MachineArena QueueMachines(JobArena& jobs) {
   MachineArena machines(PoolId(0), jobs);
   for (int m = 0; m < 4; ++m) machines.Add(8, 16384, 1.0, /*owner=*/1);
   return machines;
@@ -184,7 +184,7 @@ MachineArena QueueMachines(JobTable& jobs) {
 
 TEST_P(WaitQueueDiffTest, MatchesOrderedMapModel) {
   Rng rng(GetParam());
-  JobTable jobs;
+  JobArena jobs;
   PhysicalPool pool(PoolId(0), QueueMachines(jobs), jobs,
                     /*suspended_holds_memory=*/true);
   WaitModel model;
@@ -262,7 +262,7 @@ TEST_P(WaitQueueDiffTest, MatchesOrderedMapModel) {
   // in the canonical order; the rebuilt queue must read back identically.
   std::vector<JobId> order;
   pool.AppendJobsInRestoreOrder(order);
-  JobTable restored_jobs;
+  JobArena restored_jobs;
   PhysicalPool restored(PoolId(0), QueueMachines(restored_jobs),
                         restored_jobs, /*suspended_holds_memory=*/true);
   for (const JobId id : order) {

@@ -399,5 +399,17 @@ TEST(SimulationTest, TraceReferencingUnknownPoolAborts) {
                "unknown pool");
 }
 
+TEST(SimulationTest, PoolWithoutMachineGroupsAborts) {
+  // A pool that declares no machine groups has no capacity at all, exactly
+  // like declared groups that sum to zero machines.
+  ClusterConfig config = SmallCluster(2, 1);
+  config.pools[1].machine_groups.clear();
+  const workload::Trace trace({Spec(0, 0, 600)});
+  sched::RoundRobinScheduler scheduler;
+  NoResPolicy policy;
+  EXPECT_DEATH(NetBatchSimulation(config, trace, scheduler, policy),
+               "pool without machines");
+}
+
 }  // namespace
 }  // namespace netbatch::cluster

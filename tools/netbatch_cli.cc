@@ -73,12 +73,6 @@ Single-run flags:
   --audit-every=<min>                    run the invariant auditor every that
                                          many simulated minutes (0 = off;
                                          any violation aborts the run)
-  --shards=<n>                           run on the sharded engine (one
-                                         domain per pool) with n worker
-                                         threads; any n >= 1 is bit-identical
-                                         to n=1 (0 = classic engine; not
-                                         combinable with --events-out or
-                                         --trace-out)
   --cdf                                  print the suspension-time CDF
   --help                                 this text
 
@@ -95,7 +89,6 @@ any --jobs value produces bit-identical reports.
   --seed=<n> --replications=<k>          seeds n, n+1, ..., n+k-1
   --jobs=<n>                             worker threads (default: all cores)
   --staleness/--threshold/--overhead/--checkpoint/--mtbf/--mttr/--audit-every
-  --shards                               as above
   --profile                              per-run wall-clock / events/sec table
   --csv-out=<path>                       summary rows as CSV
   --json-out=<path>                      per-run reports + summary as JSON
@@ -168,7 +161,6 @@ SharedKnobs ReadSharedKnobs(const Flags& flags) {
       static_cast<double>(flags.GetInt("mttr", 240));
   knobs.sim_options.audit_period =
       MinutesToTicks(flags.GetInt("audit-every", 0));
-  knobs.sim_options.shards = static_cast<int>(flags.GetInt("shards", 0));
   return knobs;
 }
 
@@ -408,9 +400,6 @@ int RunSingleCommand(const Flags& flags) {
     config.sim_options.audit_period =
         MinutesToTicks(flags.GetInt("audit-every", 0));
   }
-  if (!from_file || flags.Has("shards")) {
-    config.sim_options.shards = static_cast<int>(flags.GetInt("shards", 0));
-  }
 
   // Trace: replay or generate (optionally persisting).
   const runner::ExperimentSpec base_spec =
@@ -499,10 +488,6 @@ int RunSingleCommand(const Flags& flags) {
     // Attach the export observers alongside the metrics collector.
     NETBATCH_CHECK(spec.policy_factory == nullptr || policy_name == "DupSusUtil",
                    "--events-out/--trace-out support named policies");
-    // Export observers need the per-transition hooks, which the sharded
-    // engine does not deliver (it fires OnSample only).
-    NETBATCH_CHECK(spec.sim_options.shards == 0,
-                   "--events-out/--trace-out require --shards=0");
     metrics::EventLog log;
     metrics::ChromeTraceExporter tracer;
     runner::PolicyInstance instance;
