@@ -148,19 +148,30 @@ ParseStatus ParseRecord(SegmentCursor& cursor, WalRecord& out,
 bool ReadFile(const std::string& path, std::vector<std::uint8_t>& out) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
-  out.clear();
-  std::uint8_t buf[1 << 16];
+  // Size the buffer once from fstat (one spare byte, so the read that
+  // sees EOF needs no room) and read straight into it. A file that grew
+  // since the fstat doubles the buffer until EOF.
+  struct stat st;
+  std::size_t capacity = std::size_t{1} << 16;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    capacity = static_cast<std::size_t>(st.st_size) + 1;
+  }
+  out.resize(capacity);
+  std::size_t size = 0;
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (size == out.size()) out.resize(2 * out.size());
+    const ssize_t n = ::read(fd, out.data() + size, out.size() - size);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) {
       ::close(fd);
+      out.clear();
       return false;
     }
     if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
+    size += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out.resize(size);
   return true;
 }
 

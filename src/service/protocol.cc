@@ -100,7 +100,12 @@ void EncodeJobSpec(const workload::JobSpec& spec,
 
 bool DecodeJobSpec(const std::vector<std::uint8_t>& payload,
                    workload::JobSpec& spec) {
-  WireReader r(payload);
+  return DecodeJobSpec(payload.data(), payload.size(), spec);
+}
+
+bool DecodeJobSpec(const std::uint8_t* data, std::size_t size,
+                   workload::JobSpec& spec) {
+  WireReader r(data, size);
   spec.id = JobId(static_cast<JobId::ValueType>(r.U64()));
   spec.task = TaskId(static_cast<TaskId::ValueType>(r.U64()));
   spec.submit_time = r.I64();
@@ -113,7 +118,7 @@ bool DecodeJobSpec(const std::vector<std::uint8_t>& payload,
   if (!r.ok()) return false;
   // A pool list longer than the payload could even encode is a lie; cap
   // before allocating.
-  if (pool_count > payload.size() / 4) return false;
+  if (pool_count > size / 4) return false;
   spec.candidate_pools.clear();
   spec.candidate_pools.reserve(pool_count);
   for (std::uint32_t i = 0; i < pool_count; ++i) {

@@ -165,8 +165,11 @@ void EncodeJobSpec(const workload::JobSpec& spec,
                    std::vector<std::uint8_t>& out);
 
 // Decodes a Submit payload into `spec`; false on truncation, trailing
-// bytes, or an oversized pool list.
+// bytes, or an oversized pool list. The pointer form decodes `size` bytes
+// in place (a spec embedded in a larger record).
 bool DecodeJobSpec(const std::vector<std::uint8_t>& payload,
+                   workload::JobSpec& spec);
+bool DecodeJobSpec(const std::uint8_t* data, std::size_t size,
                    workload::JobSpec& spec);
 
 struct SubmitResponse {

@@ -177,21 +177,38 @@ void ShardLoop::ScheduleRestartDelivery(cluster::Job job, PoolId target,
 
 void ShardLoop::OnJobTerminal(const cluster::Job& job) {
   // A job that went terminal before ever starting (killed while queued,
-  // rejected at admission) would leak its arrival entry forever — this
-  // erase IS the latency-map drain.
-  if (submit_arrival_ns_.erase(job.id()) > 0) {
-    latency_map_gauge_->Set(
-        static_cast<std::int64_t>(submit_arrival_ns_.size()));
-  }
+  // rejected at admission) would leave its arrival pending forever — and
+  // hand it to the next job reusing the slot. This clear IS the drain.
+  TakeArrival(job.slot());
   reclaim_queue_.push_back(job.id());
 }
 
 void ShardLoop::OnJobStarted(const cluster::Job& job) {
-  const auto it = submit_arrival_ns_.find(job.id());
-  if (it == submit_arrival_ns_.end()) return;  // restart/backfill, not admission
-  placement_latency_.Record(WallNanos() - it->second);
-  submit_arrival_ns_.erase(it);
-  latency_map_gauge_->Set(static_cast<std::int64_t>(submit_arrival_ns_.size()));
+  const std::uint64_t arrival_ns = TakeArrival(job.slot());
+  if (arrival_ns == 0) return;  // restart/backfill, not admission
+  placement_latency_.Record(WallNanos() - arrival_ns);
+}
+
+void ShardLoop::SetArrival(std::uint32_t slot, std::uint64_t arrival_ns) {
+  if (slot >= submit_arrival_ns_.size()) {
+    submit_arrival_ns_.resize(
+        std::max<std::size_t>(slot + 1, 2 * submit_arrival_ns_.size()), 0);
+  }
+  NETBATCH_CHECK(submit_arrival_ns_[slot] == 0,
+                 "admission arrival already pending on a fresh slot");
+  submit_arrival_ns_[slot] = arrival_ns;
+  ++pending_arrivals_;
+  latency_map_gauge_->Set(static_cast<std::int64_t>(pending_arrivals_));
+}
+
+std::uint64_t ShardLoop::TakeArrival(std::uint32_t slot) {
+  if (slot >= submit_arrival_ns_.size()) return 0;
+  const std::uint64_t arrival_ns = submit_arrival_ns_[slot];
+  if (arrival_ns == 0) return 0;
+  submit_arrival_ns_[slot] = 0;
+  --pending_arrivals_;
+  latency_map_gauge_->Set(static_cast<std::int64_t>(pending_arrivals_));
+  return arrival_ns;
 }
 
 void ShardLoop::DrainDueTimers() {
@@ -656,18 +673,20 @@ void ShardLoop::HandleSubmit(std::uint32_t origin, std::uint64_t token,
     // "any pool" and is always shard-local). When none are ours, forward to
     // the shard of the first candidate — the common case, where a client's
     // submits target pools on its session's shard, never crosses threads.
-    std::vector<PoolId> local;
-    for (PoolId pool : spec.candidate_pools) {
+    // The list is compacted in place, rewritten to local ids.
+    std::vector<PoolId>& pools = spec.candidate_pools;
+    const std::uint32_t first = pools.front().value();
+    std::size_t kept = 0;
+    for (const PoolId pool : pools) {
       if (ShardOfPool(pool.value()) == options_.shard_index) {
-        local.push_back(ToLocalPool(pool.value()));
+        pools[kept++] = ToLocalPool(pool.value());
       }
     }
-    if (local.empty()) {
-      ForwardFrame(ShardOfPool(spec.candidate_pools.front().value()), origin,
-                   token, frame, arrival_ns);
+    if (kept == 0) {
+      ForwardFrame(ShardOfPool(first), origin, token, frame, arrival_ns);
       return;
     }
-    spec.candidate_pools = std::move(local);
+    pools.resize(kept);
   }
   if (valid) {
     const JobId id = spec.id;
@@ -685,10 +704,7 @@ void ShardLoop::HandleSubmit(std::uint32_t origin, std::uint64_t token,
         WireWriter(wal_payload_).I64(now);
         EncodeJobSpec(spec, wal_payload_);
       }
-      core_.AdmitJob(std::move(spec));
-      submit_arrival_ns_.emplace(id, arrival_ns);
-      latency_map_gauge_->Set(
-          static_cast<std::int64_t>(submit_arrival_ns_.size()));
+      SetArrival(core_.AdmitJob(std::move(spec)).slot(), arrival_ns);
       core_.Submit(id, now);
       // Even a rejected submit mutated state (the scheduler cursor, the
       // reject counters, possibly the duplicate id sequence) — log it
@@ -1057,8 +1073,7 @@ void ShardLoop::ApplyWalRecord(const persist::WalRecord& record) {
     case WalKind::kSubmit: {
       workload::JobSpec spec;
       if (record.payload.size() < 8 ||
-          !DecodeJobSpec(std::vector<std::uint8_t>(record.payload.begin() + 8,
-                                                   record.payload.end()),
+          !DecodeJobSpec(record.payload.data() + 8, record.payload.size() - 8,
                          spec)) {
         NETBATCH_LOG(kWarn) << "WAL " << record.lsn << ": bad submit payload";
         return;

@@ -223,13 +223,19 @@ class ShardLoop final : private sched::CoreHost,
   void ArmWaitTimeout(cluster::Job job, Ticks threshold) override;
   void ScheduleRestartDelivery(cluster::Job job, PoolId target,
                                Ticks overhead) override;
-  // Drains the job's latency-map entry (kill/reject before start would
-  // otherwise leak it) and queues the slot for reclamation.
+  // Clears the job's arrival cell (kill/reject before start would
+  // otherwise leave it pending) and queues the slot for reclamation.
   void OnJobTerminal(const cluster::Job& job) override;
 
   // cluster::SimulationObserver — the start transition closes the
   // admission-to-placement latency measurement.
   void OnJobStarted(const cluster::Job& job) override;
+
+  // The admission-to-placement column: SetArrival opens a measurement for
+  // `slot`, TakeArrival closes it and returns its arrival (0 when none was
+  // open). Both keep daemon.latency_map_entries at the open count.
+  void SetArrival(std::uint32_t slot, std::uint64_t arrival_ns);
+  std::uint64_t TakeArrival(std::uint32_t slot);
 
   Ticks NowTicks() const;
   void PushTimer(TimerKind kind, const cluster::Job& job, Ticks delay,
@@ -349,7 +355,12 @@ class ShardLoop final : private sched::CoreHost,
   Gauge* wal_records_gauge_ = nullptr;
   Gauge* recovery_ms_gauge_ = nullptr;
 
-  std::unordered_map<JobId, std::uint64_t> submit_arrival_ns_;
+  // Submit-frame arrival (WallNanos) per job-table slot, 0 = no admission
+  // pending placement; pending_arrivals_ counts the nonzero cells. A slot
+  // is reused only after a terminal transition, which clears its cell, so
+  // a new occupant never inherits a stale arrival.
+  std::vector<std::uint64_t> submit_arrival_ns_;
+  std::size_t pending_arrivals_ = 0;
   Gauge* latency_map_gauge_ = nullptr;
   LatencyHistogram placement_latency_;
 

@@ -1,6 +1,7 @@
 // Tests for the serving layer: the MPSC mailbox (net/mailbox.h), guarded
-// job-slot reclamation (cluster/job.h), and the sharded daemon
-// (service/daemon.h) end to end over real sockets.
+// job-slot reclamation (cluster/job.h), the lock-free job directory
+// (service/job_directory.h), and the sharded daemon (service/daemon.h) end
+// to end over real sockets.
 //
 // The daemon tests run netbatchd in-process: a Daemon on its own thread,
 // clients speaking the real wire protocol over unix-domain or TCP sockets.
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +34,7 @@
 #include "net/socket.h"
 #include "sched/round_robin.h"
 #include "service/daemon.h"
+#include "service/job_directory.h"
 #include "service/protocol.h"
 
 namespace netbatch {
@@ -244,10 +247,129 @@ TEST(JobTableReclaimTest, WithoutEnableReclamationCreateAlwaysAppends) {
 }  // namespace
 }  // namespace netbatch
 
-// --- in-process daemon fixture ----------------------------------------------
-
 namespace netbatch::service {
 namespace {
+
+// --- job directory ------------------------------------------------------------
+
+constexpr JobId::ValueType kDenseCap = 1u << 24;  // the arena's dense cap
+
+TEST(JobDirectoryTest, RacingInsertsHaveExactlyOneWinnerPerId) {
+  // Every thread claims the same ids in the same order, so the threads
+  // collide on each cell and on each chunk's first-touch publication.
+  constexpr int kThreads = 4;
+  constexpr JobId::ValueType kIds = 3 * (1u << 14) + 7;  // spans 4 chunks
+  const std::vector<JobId::ValueType> sparse = {kDenseCap, kDenseCap + 1,
+                                                0xfffffff0u};
+  JobDirectory directory;
+  std::vector<std::atomic<int>> dense_wins(kIds);
+  std::vector<std::atomic<int>> sparse_wins(sparse.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto shard = static_cast<std::uint32_t>(t);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (JobId::ValueType v = 0; v < kIds; ++v) {
+        if (directory.TryInsert(JobId(v), shard)) dense_wins[v].fetch_add(1);
+      }
+      for (std::size_t i = 0; i < sparse.size(); ++i) {
+        if (directory.TryInsert(JobId(sparse[i]), shard)) {
+          sparse_wins[i].fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (JobId::ValueType v = 0; v < kIds; ++v) {
+    ASSERT_EQ(dense_wins[v].load(), 1) << "id " << v;
+    const std::optional<std::uint32_t> owner = directory.Lookup(JobId(v));
+    ASSERT_TRUE(owner.has_value()) << "id " << v;
+    ASSERT_LT(*owner, static_cast<std::uint32_t>(kThreads));
+    // The winner owns the id: no other shard can claim it again.
+    ASSERT_FALSE(directory.TryInsert(JobId(v), (*owner + 1) % kThreads));
+  }
+  for (std::size_t i = 0; i < sparse.size(); ++i) {
+    EXPECT_EQ(sparse_wins[i].load(), 1) << "id " << sparse[i];
+    EXPECT_TRUE(directory.Lookup(JobId(sparse[i])).has_value());
+  }
+}
+
+TEST(JobDirectoryTest, EraseByANonOwnerIsANoOp) {
+  JobDirectory directory;
+  for (const JobId::ValueType v : {5u, kDenseCap + 5}) {
+    ASSERT_TRUE(directory.TryInsert(JobId(v), 1));
+    directory.EraseIfOwner(JobId(v), 0);
+    directory.EraseIfOwner(JobId(v), 2);
+    EXPECT_EQ(directory.Lookup(JobId(v)), std::optional<std::uint32_t>(1));
+    EXPECT_FALSE(directory.TryInsert(JobId(v), 0));
+    directory.EraseIfOwner(JobId(v), 1);
+    EXPECT_EQ(directory.Lookup(JobId(v)), std::nullopt);
+  }
+}
+
+TEST(JobDirectoryTest, EraseThenReinsertByAnotherShard) {
+  JobDirectory directory;
+  // Shard 0 must read as owned, not free.
+  ASSERT_TRUE(directory.TryInsert(JobId(7), 0));
+  EXPECT_EQ(directory.Lookup(JobId(7)), std::optional<std::uint32_t>(0));
+  EXPECT_FALSE(directory.TryInsert(JobId(7), 2));
+  directory.EraseIfOwner(JobId(7), 0);
+  EXPECT_EQ(directory.Lookup(JobId(7)), std::nullopt);
+
+  EXPECT_TRUE(directory.TryInsert(JobId(7), 2));
+  EXPECT_EQ(directory.Lookup(JobId(7)), std::optional<std::uint32_t>(2));
+  EXPECT_FALSE(directory.TryInsert(JobId(7), 0));
+  // The old owner's late erase must not release the new owner's claim.
+  directory.EraseIfOwner(JobId(7), 0);
+  EXPECT_EQ(directory.Lookup(JobId(7)), std::optional<std::uint32_t>(2));
+}
+
+TEST(JobDirectoryTest, LookupInAnUntouchedChunkIsAbsent) {
+  JobDirectory directory;
+  EXPECT_EQ(directory.Lookup(JobId(123456)), std::nullopt);
+  directory.EraseIfOwner(JobId(123456), 0);  // no chunk: nothing to erase
+  EXPECT_EQ(directory.Lookup(JobId(123456)), std::nullopt);
+
+  ASSERT_TRUE(directory.TryInsert(JobId(3), 1));
+  // A neighbour in the touched chunk and an id in a far, untouched chunk.
+  EXPECT_EQ(directory.Lookup(JobId(4)), std::nullopt);
+  EXPECT_EQ(directory.Lookup(JobId(kDenseCap - 1)), std::nullopt);
+  EXPECT_EQ(directory.Lookup(JobId(3)), std::optional<std::uint32_t>(1));
+}
+
+TEST(JobDirectoryTest, IdsAcrossTheDenseSparseBoundary) {
+  JobDirectory directory;
+  const JobId::ValueType ids[] = {kDenseCap - 1, kDenseCap, 0xffffffffu};
+  std::uint32_t shard = 0;
+  for (const JobId::ValueType v : ids) {
+    ASSERT_TRUE(directory.TryInsert(JobId(v), shard++)) << "id " << v;
+  }
+  shard = 0;
+  for (const JobId::ValueType v : ids) {
+    EXPECT_EQ(directory.Lookup(JobId(v)), std::optional<std::uint32_t>(shard))
+        << "id " << v;
+    EXPECT_FALSE(directory.TryInsert(JobId(v), 9)) << "id " << v;
+    ++shard;
+  }
+  // Releasing one side of the boundary leaves the other untouched.
+  directory.EraseIfOwner(JobId(kDenseCap - 1), 0);
+  EXPECT_EQ(directory.Lookup(JobId(kDenseCap - 1)), std::nullopt);
+  EXPECT_EQ(directory.Lookup(JobId(kDenseCap)),
+            std::optional<std::uint32_t>(1));
+  directory.EraseIfOwner(JobId(kDenseCap), 1);
+  EXPECT_EQ(directory.Lookup(JobId(kDenseCap)), std::nullopt);
+  EXPECT_EQ(directory.Lookup(JobId(0xffffffffu)),
+            std::optional<std::uint32_t>(2));
+  EXPECT_TRUE(directory.TryInsert(JobId(kDenseCap), 4));
+  EXPECT_EQ(directory.Lookup(JobId(kDenseCap)),
+            std::optional<std::uint32_t>(4));
+}
+
+// --- in-process daemon fixture ----------------------------------------------
 
 cluster::ClusterConfig SmallCluster(std::uint32_t pools,
                                     std::int32_t machines_per_pool,
@@ -496,6 +618,38 @@ TEST(DaemonTest, KillBeforeStartDrainsLatencyMapAndFreesTheId) {
   EXPECT_EQ(client.Submit(5, MakeSpec(2, {})).status, Status::kQueued);
   const std::string stats = client.Stats(6);
   EXPECT_NE(stats.find("daemon.latency_map_entries=1"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("jobs.killed=1"), std::string::npos) << stats;
+}
+
+TEST(DaemonTest, KilledQueuedJobsReusedSlotRecordsOnePlacementSample) {
+  const std::string path = TestSocketPath("slotreuse");
+  // One two-core machine: a one-core job runs, a two-core job queues.
+  RunningDaemon daemon(SmallCluster(1, 1, 2), UnixOptions(path));
+  Client client(net::ConnectUnix(path));
+  ASSERT_TRUE(client.connected());
+
+  EXPECT_EQ(client.Submit(1, MakeSpec(1, {})).status, Status::kOk);
+  EXPECT_EQ(client.Submit(2, MakeSpec(2, {}, /*cores=*/2)).status,
+            Status::kQueued);
+  // Kill the queued job; the query's loop iteration has reclaimed its
+  // slot, the only free one, so the next submit lands in it. The kill
+  // itself closed the pending arrival.
+  EXPECT_EQ(client.JobOp(Opcode::kKill, 3, 2).status, Status::kOk);
+  EXPECT_EQ(client.JobOp(Opcode::kQueryJob, 4, 2).status, Status::kUnknownJob);
+  const std::string killed = client.Stats(5);
+  EXPECT_NE(killed.find("daemon.latency_map_entries=0 (max=1)"),
+            std::string::npos)
+      << killed;
+
+  // The new occupant starts at once: its own admission is the only one
+  // measured, and no arrival is left pending.
+  EXPECT_EQ(client.Submit(6, MakeSpec(3, {})).status, Status::kOk);
+  const std::string stats = client.Stats(7);
+  EXPECT_NE(stats.find("placement_latency_ns{count=2,"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("daemon.latency_map_entries=0 (max=1)"),
+            std::string::npos)
       << stats;
   EXPECT_NE(stats.find("jobs.killed=1"), std::string::npos) << stats;
 }

@@ -133,7 +133,9 @@ TEST(EventQueueTest, StressRandomOperationsPreserveOrder) {
   while (!queue.Empty()) {
     const Event fired = queue.Pop();
     EXPECT_GE(fired.time, last);
-    if (fired.time == last) EXPECT_GT(fired.seq, last_seq);
+    if (fired.time == last) {
+      EXPECT_GT(fired.seq, last_seq);
+    }
     last = fired.time;
     last_seq = fired.seq;
     ++popped;
